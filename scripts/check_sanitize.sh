@@ -2,8 +2,8 @@
 # Builds the project with AddressSanitizer + UndefinedBehaviorSanitizer
 # in a separate build tree and runs the full test suite under them,
 # then builds a ThreadSanitizer tree and runs the concurrency tests
-# (thread pool, buffer pool, parallel evaluator/difftest, metrics
-# registry, trace recorder) under it.
+# (thread pool, buffer pool, pooled EvaluateBatch/difftest, metrics
+# registry) under it.
 #
 # Usage: scripts/check_sanitize.sh [build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -90,8 +90,8 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # re-fit, per-case prediction accuracy) also runs in the ASan ctest
 # pass above via the `calibration` label.
 
-# ThreadSanitizer pass over the concurrency layer: the SPSC channel
-# evaluator, the thread pool, the thread-local buffer pool and the
+# ThreadSanitizer pass over the concurrency layer: the thread pool, the
+# thread-local buffer pool, EvaluateBatch on a batch_pool and the
 # pooled difftest sweep must be race-free.
 cmake -B "${tsan_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -3,7 +3,7 @@
  *
  *   difftest_runner [--cases N] [--seed S] [--quick] [--inject-bug]
  *                   [--inject-sdc] [--only-case NAME] [--threads N]
- *                   [--concurrent-devices] [--out DIR] [--repro FILE]
+ *                   [--out DIR] [--repro FILE]
  *
  * Generates N seeded random overlap sites, compiles each one blocking
  * vs. decomposed under all six {unroll, bidirectional, forced-uni}
@@ -83,8 +83,6 @@ main(int argc, char** argv)
             config.only_case = spec->site_case;
         } else if (arg == "--threads" && i + 1 < argc) {
             config.threads = ParseInt(argv[++i]);
-        } else if (arg == "--concurrent-devices") {
-            config.concurrent_devices = true;
         } else if (arg == "--out" && i + 1 < argc) {
             out_dir = argv[++i];
         } else if (arg == "--repro" && i + 1 < argc) {
@@ -126,7 +124,6 @@ main(int argc, char** argv)
         sdc.num_cases = explicit_cases ? config.num_cases : 512;
         sdc.seed = config.seed;
         sdc.threads = config.threads;
-        sdc.concurrent_devices = config.concurrent_devices;
         auto sdc_summary = RunSdcSweep(sdc);
         if (!sdc_summary.ok()) {
             std::cerr << "harness error: "

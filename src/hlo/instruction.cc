@@ -10,10 +10,11 @@ namespace overlap {
 namespace {
 
 /**
- * Serializes the one-time einsum-spec parse. Concurrent device threads
- * evaluate the same instruction, so the lazy cache fill must be
- * thread-safe; a single process-wide mutex suffices because each
- * instruction parses at most once.
+ * Serializes the one-time einsum-spec parse. Pooled evaluations
+ * (EvaluateBatch on a batch_pool, RunDiffTest / RunSdcSweep worker
+ * threads) may evaluate the same instruction from several threads, so
+ * the lazy cache fill must be thread-safe; a single process-wide mutex
+ * suffices because each instruction parses at most once.
  */
 std::mutex einsum_parse_mutex;
 

@@ -20,8 +20,7 @@ namespace overlap {
  * `step` — only entries whose step matches are applied (earlier
  * corruptions that escaped detection already live in the caller's state).
  * Instruction targets are per-kind ordinals in program order: the i-th
- * einsum / the i-th data-exchange collective of the entry computation,
- * identical across serial and concurrent execution.
+ * einsum / the i-th data-exchange collective of the entry computation.
  */
 struct SdcEvalConfig {
     std::vector<SilentCorruption> corruptions;
@@ -30,11 +29,10 @@ struct SdcEvalConfig {
 };
 
 /**
- * Thread-safe sink for detection events raised during one evaluation.
- * In concurrent mode devices that raced ahead may contribute extra
- * reports, so the full list is mode-dependent; Primary() — the earliest
- * report in (program index, device) order, exactly the one the serial
- * walk stops at — is deterministic across modes.
+ * Thread-safe sink for detection events: one sink may be shared by the
+ * evaluations of a pooled EvaluateBatch. An evaluation stops at its
+ * first detection, so it adds at most one report; Primary() is the
+ * earliest report in (program index, device) order.
  */
 class SdcEvalSink {
   public:
@@ -52,24 +50,9 @@ class SdcEvalSink {
 /** Execution knobs for the SPMD evaluator. The default is fully serial. */
 struct EvalOptions {
     /**
-     * Run the per-device programs on concurrent threads (one dedicated
-     * thread per device), with collectives implemented as per-channel
-     * SPSC handoffs: each replica group (or permute pair) has its own
-     * channel, members push their operands to the group's leader, the
-     * leader computes the exchange for its group in fixed member order
-     * and pushes results back. Only the devices of a channel ever
-     * synchronize — a permute pair never waits for the rest of the
-     * mesh. Results are bit-identical to the serial lock-step walk
-     * because the group arithmetic runs once, over inputs indexed by
-     * group position — never in arrival order.
-     */
-    bool concurrent_devices = false;
-
-    /**
      * When set, EvaluateBatch fans whole computations across this pool
-     * (stable result order; first error by computation order). Device
-     * concurrency and batch fan-out compose: each pooled evaluation may
-     * itself spawn its per-device threads.
+     * (stable result order; first error by computation order). Each
+     * pooled evaluation is itself the serial walk.
      */
     ThreadPool* batch_pool = nullptr;
 
@@ -98,16 +81,14 @@ struct EvalOptions {
  * simulator. Source-target pairs with a duplicate source or target, or
  * with a device id outside the mesh, are rejected as invalid.
  *
- * Two execution modes produce identical outputs (see EvalOptions):
- * a serial lock-step walk (one instruction at a time across all
- * devices) and a concurrent mode where each device runs its own program
- * on a dedicated thread and meets its peers at per-channel SPSC
- * handoffs for collectives. Both modes execute a *compiled* form of the
- * program — operand slots, liveness and fused elementwise groups
- * resolved once up front (DESIGN.md §17) — and recycle dead
- * intermediate buffers through the thread-local BufferPool, so a
- * decomposed loop's partial einsums and DynamicUpdateSlice chain reuse
- * allocations across iterations.
+ * Evaluation is a serial lock-step walk: one instruction at a time
+ * across all devices, collectives combining their group members in
+ * fixed order. The walk executes a *compiled* form of the program —
+ * operand slots, liveness and fused elementwise groups resolved once up
+ * front (DESIGN.md §17) — and recycles dead intermediate buffers
+ * through the thread-local BufferPool, so a decomposed loop's partial
+ * einsums and DynamicUpdateSlice chain reuse allocations across
+ * iterations.
  *
  * This interpreter is the semantic ground truth the test suite uses to
  * prove that the Looped CollectiveEinsum decomposition (in every variant)
@@ -145,13 +126,6 @@ class SpmdEvaluator {
     const EvalOptions& options() const { return options_; }
 
   private:
-    StatusOr<std::vector<Tensor>> EvaluateSerial(
-        const HloComputation& computation,
-        const std::vector<std::vector<Tensor>>& params) const;
-    StatusOr<std::vector<Tensor>> EvaluateConcurrent(
-        const HloComputation& computation,
-        const std::vector<std::vector<Tensor>>& params) const;
-
     Mesh mesh_;
     EvalOptions options_;
 };
@@ -171,9 +145,7 @@ StatusOr<Tensor> EvaluateGlobal(const HloComputation& computation,
 struct EvalPhaseSeconds {
     /// Time inside einsum kernel evaluation (all devices summed).
     double einsum_seconds = 0;
-    /// Time in collective exchanges: serial collective evaluation, or —
-    /// concurrently — each device's full stay at a channel (wait +
-    /// leader compute), all devices summed.
+    /// Time in collective exchanges (all devices' groups together).
     double collective_seconds = 0;
 };
 

@@ -14,13 +14,13 @@ namespace overlap {
  * allocator behind Tensor storage (DESIGN.md §17).
  *
  * The per-thread BufferPool wrappers are fast (no locking) but their
- * lifetime is the thread's — and the concurrent-device evaluator spawns
- * fresh device threads for every evaluation. Without a shared tier,
- * every buffer a device thread recycled died with the thread, and the
- * next evaluation's threads started cold on the heap. The arena is the
- * rendezvous for those buffers: thread-local pools flush here when they
- * exit (or overflow), and new threads refill from here before touching
- * the heap.
+ * lifetime is the thread's — and the workers of a ThreadPool (one per
+ * RunDiffTest / RunSdcSweep call, or an EvaluateBatch batch_pool) exit
+ * with their pool. Without a shared tier, every buffer a worker
+ * recycled died with it, and the next pool's threads started cold on
+ * the heap. The arena is the rendezvous for those buffers: thread-local
+ * pools flush here when they exit (or overflow), and new threads refill
+ * from here before touching the heap.
  *
  * Buffers are plain `std::vector<float>`, size-bucketed exactly like
  * the thread-local tier (bucket b holds capacities in [2^b, 2^(b+1))),

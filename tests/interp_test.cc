@@ -318,6 +318,25 @@ TEST(EvaluatorTest, MissingParameterReported)
     SpmdEvaluator eval((Mesh(1)));
     auto result = eval.Evaluate(*comp, {});
     EXPECT_FALSE(result.ok());
+
+    // A value of the wrong shape on one device fails the whole
+    // evaluation with a message naming both shapes.
+    Mesh mesh(3);
+    HloModule reduce_module("r");
+    HloComputation* reduce = reduce_module.AddEntryComputation("main");
+    HloBuilder rb(reduce);
+    auto* p = rb.Parameter(0, Shape({4}));
+    reduce->set_root(rb.AllReduce(p, mesh.Groups(0)));
+    std::vector<std::vector<Tensor>> params(1);
+    params[0] = {Tensor(Shape({4}), {1, 2, 3, 4}),
+                 Tensor(Shape({4}), {5, 6, 7, 8}),
+                 Tensor(Shape({5}), {9, 10, 11, 12, 13})};
+    auto bad = SpmdEvaluator(mesh).Evaluate(*reduce, params);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(bad.status().message(),
+              "parameter 0 shape " + Shape({5}).ToString() +
+                  " != declared " + Shape({4}).ToString());
 }
 
 TEST(EvaluatorTest, ShardRoundTripHelper)

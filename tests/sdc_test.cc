@@ -2,10 +2,10 @@
  * @file
  * Silent-data-corruption detection, localization and containment
  * (DESIGN.md §16): checksum/ABFT primitives, evaluator-level injection
- * and detection (identical across serial and concurrent modes), the
- * simulator's detector accounting, the elastic containment loop
- * (rollback to a bit-identical state, repeat-offender quarantine) and
- * the service's rejected-never-emitted path.
+ * and detection with culprit-chip localization, the simulator's
+ * detector accounting, the elastic containment loop (rollback to a
+ * bit-identical state, repeat-offender quarantine) and the service's
+ * rejected-never-emitted path.
  */
 #include <gtest/gtest.h>
 
@@ -169,8 +169,7 @@ struct EvalRun {
  * `run` in place (the sink owns a mutex, so EvalRun is not movable).
  */
 void
-AdvanceWithSdc(const SilentCorruption* corruption, bool concurrent,
-               EvalRun* run)
+AdvanceWithSdc(const SilentCorruption* corruption, EvalRun* run)
 {
     auto program =
         BuildElasticProgram(SmallSpec(), Mesh(4), ForcedOverlapOptions(),
@@ -183,7 +182,6 @@ AdvanceWithSdc(const SilentCorruption* corruption, bool concurrent,
     sdc.step = 0;
     if (corruption != nullptr) sdc.corruptions.push_back(*corruption);
     EvalOptions options;
-    options.concurrent_devices = concurrent;
     options.sdc = &sdc;
     options.sdc_sink = &run->sink;
     run->status = AdvanceElasticState(&program.value(), options);
@@ -192,80 +190,58 @@ AdvanceWithSdc(const SilentCorruption* corruption, bool concurrent,
 
 TEST(EvaluatorSdcTest, AbftDetectsAndLocalizesEinsumCorruption)
 {
-    SilentCorruption c;
-    c.step = 0;
-    c.chip = 1;
-    c.instruction = 0;
-    c.target = CorruptionTarget::kEinsumOutput;
-    EvalRun run;
-    AdvanceWithSdc(&c, /*concurrent=*/false, &run);
+    for (int64_t chip : {1, 3}) {
+        SilentCorruption c;
+        c.step = 0;
+        c.chip = chip;
+        c.instruction = 0;
+        c.target = CorruptionTarget::kEinsumOutput;
+        EvalRun run;
+        AdvanceWithSdc(&c, &run);
 
-    ASSERT_FALSE(run.status.ok());
-    EXPECT_EQ(run.status.code(), StatusCode::kFailedPrecondition);
-    ASSERT_TRUE(run.sink.detected());
-    auto primary = run.sink.Primary();
-    ASSERT_TRUE(primary.has_value());
-    EXPECT_EQ(primary->detector, CorruptionDetector::kEinsumAbft);
-    EXPECT_EQ(primary->chip, 1);
-    EXPECT_EQ(primary->instruction, 0);
-    EXPECT_GT(primary->residual, 0.0);
+        ASSERT_FALSE(run.status.ok());
+        EXPECT_EQ(run.status.code(), StatusCode::kFailedPrecondition);
+        ASSERT_TRUE(run.sink.detected());
+        auto primary = run.sink.Primary();
+        ASSERT_TRUE(primary.has_value());
+        EXPECT_EQ(primary->detector, CorruptionDetector::kEinsumAbft);
+        EXPECT_EQ(primary->chip, chip);
+        EXPECT_EQ(primary->instruction, 0);
+        EXPECT_GT(primary->residual, 0.0);
 
-    // Containment at the data level: the aborted advance left the
-    // state bitwise untouched.
-    OutputComparison cmp = CompareOutputs({run.state_before},
-                                          {run.state_after}, 0.0);
-    EXPECT_TRUE(cmp.equal) << cmp.ToString();
+        // Containment at the data level: the aborted advance left the
+        // state bitwise untouched.
+        OutputComparison cmp = CompareOutputs({run.state_before},
+                                              {run.state_after}, 0.0);
+        EXPECT_TRUE(cmp.equal) << cmp.ToString();
+    }
 }
 
 TEST(EvaluatorSdcTest, TransferChecksumCatchesPayloadCorruption)
 {
-    SilentCorruption c;
-    c.step = 0;
-    c.chip = 2;
-    c.instruction = 0;
-    c.target = CorruptionTarget::kTransferPayload;
-    EvalRun run;
-    AdvanceWithSdc(&c, /*concurrent=*/false, &run);
+    for (int64_t chip : {2, 3}) {
+        SilentCorruption c;
+        c.step = 0;
+        c.chip = chip;
+        c.instruction = 0;
+        c.target = CorruptionTarget::kTransferPayload;
+        EvalRun run;
+        AdvanceWithSdc(&c, &run);
 
-    ASSERT_FALSE(run.status.ok());
-    auto primary = run.sink.Primary();
-    ASSERT_TRUE(primary.has_value());
-    EXPECT_EQ(primary->detector, CorruptionDetector::kTransferChecksum);
-    EXPECT_EQ(primary->chip, 2);
-}
-
-TEST(EvaluatorSdcTest, PrimaryReportIsModeIndependent)
-{
-    SilentCorruption c;
-    c.step = 0;
-    c.chip = 3;
-    c.instruction = 0;
-    for (auto target : {CorruptionTarget::kEinsumOutput,
-                        CorruptionTarget::kTransferPayload}) {
-        c.target = target;
-        EvalRun serial;
-        EvalRun threaded;
-        AdvanceWithSdc(&c, /*concurrent=*/false, &serial);
-        AdvanceWithSdc(&c, /*concurrent=*/true, &threaded);
-        ASSERT_FALSE(serial.status.ok());
-        ASSERT_FALSE(threaded.status.ok());
-        auto a = serial.sink.Primary();
-        auto b = threaded.sink.Primary();
-        ASSERT_TRUE(a.has_value());
-        ASSERT_TRUE(b.has_value());
-        // The earliest report in (program index, device) order is the
-        // deterministic cross-mode contract.
-        EXPECT_EQ(a->chip, b->chip);
-        EXPECT_EQ(a->instruction, b->instruction);
-        EXPECT_EQ(a->detector, b->detector);
-        EXPECT_EQ(a->program_index, b->program_index);
+        ASSERT_FALSE(run.status.ok());
+        EXPECT_EQ(run.status.code(), StatusCode::kFailedPrecondition);
+        auto primary = run.sink.Primary();
+        ASSERT_TRUE(primary.has_value());
+        EXPECT_EQ(primary->detector,
+                  CorruptionDetector::kTransferChecksum);
+        EXPECT_EQ(primary->chip, chip);
     }
 }
 
 TEST(EvaluatorSdcTest, CleanRunWithDetectorsOnIsBitIdenticalAndSilent)
 {
     EvalRun checked;
-    AdvanceWithSdc(nullptr, /*concurrent=*/false, &checked);
+    AdvanceWithSdc(nullptr, &checked);
     ASSERT_TRUE(checked.status.ok()) << checked.status.ToString();
     EXPECT_FALSE(checked.sink.detected());  // zero false positives
     EXPECT_TRUE(checked.sink.reports().empty());
