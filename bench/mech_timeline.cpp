@@ -53,7 +53,7 @@ RunCase(const char* title, bool reduce_scatter, int64_t n)
                 0, Shape(DType::kBF16, {4096 / n, 4096}), "A_shard");
             auto* w = b.Parameter(1, Shape(DType::kBF16, {4096, 8192}),
                                   "B");
-            auto* ag = b.AllGather(a, 0, mesh.Groups(0));
+            auto* ag = b.AllGather(a, 0, mesh.AxisGroups(0));
             comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
         } else {
             auto* a = b.Parameter(
@@ -62,7 +62,7 @@ RunCase(const char* title, bool reduce_scatter, int64_t n)
                 1, Shape(DType::kBF16, {8192 / n, 8192}), "B_shard");
             auto* partial = b.Einsum(a, w, "bf,fh->bh");
             comp->set_root(
-                b.ReduceScatter(partial, 0, mesh.Groups(0)));
+                b.ReduceScatter(partial, 0, mesh.AxisGroups(0)));
         }
         CompilerOptions options =
             overlapped ? CompilerOptions() : CompilerOptions::Baseline();

@@ -28,7 +28,7 @@ BuildAgEinsum(int64_t n)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {8192 / n, 4096}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {4096, 8192}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     return module;
 }

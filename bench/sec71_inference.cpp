@@ -40,7 +40,7 @@ BuildRecommendationTower(const Mesh& mesh)
         auto* w_shard = b.Parameter(
             param++,
             Shape(DType::kBF16, {dims[layer], dims[layer + 1] / 2}));
-        auto* w = b.AllGather(w_shard, 1, mesh.Groups(0));
+        auto* w = b.AllGather(w_shard, 1, mesh.AxisGroups(0));
         x = b.Einsum(x, w, "bf,fh->bh");
     }
     comp->set_root(x);

@@ -29,7 +29,7 @@ main()
                               "activation_shard");
     auto* weight = b.Parameter(1, Shape(DType::kBF16, {1024, 2048}),
                                "weight");
-    auto* gathered = b.AllGather(shard, 0, mesh.Groups(0));
+    auto* gathered = b.AllGather(shard, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(gathered, weight, "bf,fh->bh"));
 
     std::printf("=== 0. input: the blocking AllGather-Einsum pair ===\n%s",

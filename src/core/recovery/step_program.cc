@@ -91,7 +91,7 @@ BuildElasticProgram(const ElasticProgramSpec& spec, const Mesh& mesh,
     HloBuilder b(comp);
     auto* w = b.Parameter(0, Shape({shard, program.padded_rows}), "w");
     auto* x = b.Parameter(1, Shape({shard, spec.feature}), "x");
-    auto* gathered = b.AllGather(x, /*dim=*/0, mesh.Groups(0));
+    auto* gathered = b.AllGather(x, /*dim=*/0, mesh.AxisGroups(0));
     auto* product = b.Einsum(w, gathered, "ij,jk->ik");
     auto* scale = b.ConstantScalar(
         1.0f / static_cast<float>(spec.logical_rows));

@@ -362,12 +362,12 @@ BuildSiteModule(const SiteSpec& spec)
             "tokens_shard");
         auto* weights = b.Parameter(1, shapes->rhs_global, "weights");
         if (spec.side == 0) {
-            auto* a2a = b.AllToAll(tokens, 0, mesh.Groups(spec.axis));
+            auto* a2a = b.AllToAll(tokens, 0, mesh.AxisGroups(spec.axis));
             comp->set_root(b.Einsum(a2a, weights, shapes->einsum_spec));
         } else {
             auto* einsum = b.Einsum(tokens, weights, shapes->einsum_spec);
             comp->set_root(
-                b.AllToAll(einsum, 0, mesh.Groups(spec.axis)));
+                b.AllToAll(einsum, 0, mesh.AxisGroups(spec.axis)));
         }
         return module;
     }
@@ -379,7 +379,7 @@ BuildSiteModule(const SiteSpec& spec)
             1, shapes->rhs_sharding.ShardShape(shapes->rhs_global, mesh));
         auto* einsum = b.Einsum(lhs, rhs, shapes->einsum_spec);
         comp->set_root(b.ReduceScatter(einsum, shapes->rs_dim,
-                                       mesh.Groups(spec.axis)));
+                                       mesh.AxisGroups(spec.axis)));
         return module;
     }
 
@@ -397,7 +397,7 @@ BuildSiteModule(const SiteSpec& spec)
         "gathered_shard");
     auto* other_param = b.Parameter(1, other_global, "other");
     auto* ag = b.AllGather(shard_param, shapes->gathered_dim,
-                           mesh.Groups(spec.axis));
+                           mesh.AxisGroups(spec.axis));
     comp->set_root(shapes->gathered_side == 0
                        ? b.Einsum(ag, other_param, shapes->einsum_spec)
                        : b.Einsum(other_param, ag, shapes->einsum_spec));
@@ -439,33 +439,28 @@ BuildSiteScenario(const SiteSpec& spec)
                 einsum_outs.push_back(std::move(out).value());
             }
         }
-        for (const auto& group : mesh.Groups(spec.axis)) {
-            for (size_t i = 0; i < group.size(); ++i) {
-                const std::vector<Tensor>& sources =
-                    spec.side == 0 ? token_shards : einsum_outs;
-                const int64_t row =
-                    sources[0].shape().dim(1);  // contract or free1
-                Tensor exchanged(Shape(
-                    spec.dtype, {n * block, sources[0].shape().dim(1)}));
-                for (size_t j = 0; j < group.size(); ++j) {
-                    const auto& src =
-                        sources[static_cast<size_t>(group[j])].values();
-                    std::copy(
-                        src.begin() + static_cast<int64_t>(i) * block * row,
-                        src.begin() +
-                            static_cast<int64_t>(i + 1) * block * row,
-                        exchanged.values().begin() +
-                            static_cast<int64_t>(j) * block * row);
-                }
-                if (spec.side == 0) {
-                    auto out = parsed->Evaluate(exchanged, rhs_data);
-                    if (!out.ok()) return out.status();
-                    s.expected[static_cast<size_t>(group[i])] =
-                        std::move(out).value();
-                } else {
-                    s.expected[static_cast<size_t>(group[i])] =
-                        std::move(exchanged);
-                }
+        const DeviceGroups groups = mesh.AxisGroups(spec.axis);
+        const std::vector<Tensor>& sources =
+            spec.side == 0 ? token_shards : einsum_outs;
+        const int64_t row = sources[0].shape().dim(1);  // contract or free1
+        for (int64_t d = 0; d < mesh.num_devices(); ++d) {
+            // Device d receives block Position(d) of every group member.
+            const int64_t i = groups.Position(d);
+            Tensor exchanged(Shape(spec.dtype, {n * block, row}));
+            for (int64_t j = 0; j < n; ++j) {
+                const auto& src =
+                    sources[static_cast<size_t>(groups.Member(d, j))]
+                        .values();
+                std::copy(src.begin() + i * block * row,
+                          src.begin() + (i + 1) * block * row,
+                          exchanged.values().begin() + j * block * row);
+            }
+            if (spec.side == 0) {
+                auto out = parsed->Evaluate(exchanged, rhs_data);
+                if (!out.ok()) return out.status();
+                s.expected[static_cast<size_t>(d)] = std::move(out).value();
+            } else {
+                s.expected[static_cast<size_t>(d)] = std::move(exchanged);
             }
         }
         s.params.push_back(std::move(token_shards));
@@ -699,26 +694,6 @@ RunDiffTest(const DiffTestConfig& config)
 
 namespace {
 
-/**
- * Mirror of the evaluator's exchange-op classification (the per-kind
- * ordinal scheme SilentCorruption targets use): the ops the interpreter
- * evaluates as a cross-device exchange.
- */
-bool
-IsSdcExchangeOp(HloOpcode opcode)
-{
-    switch (opcode) {
-      case HloOpcode::kAllGather:
-      case HloOpcode::kReduceScatter:
-      case HloOpcode::kAllReduce:
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart:
-      case HloOpcode::kAllToAllStart: return true;
-      default: return false;
-    }
-}
-
 /** One SDC case's verdict, detached for pool workers. */
 struct SdcCaseOutcome {
     CorruptionDetector detector = CorruptionDetector::kNone;
@@ -767,7 +742,7 @@ RunSdcCase(const SdcSweepConfig& config, int64_t index)
     int64_t num_exchanges = 0;
     for (const HloInstruction* instr : comp.instructions()) {
         if (instr->opcode() == HloOpcode::kEinsum) ++num_einsums;
-        if (IsSdcExchangeOp(instr->opcode())) ++num_exchanges;
+        if (IsExchange(instr->opcode())) ++num_exchanges;
     }
     if (num_einsums == 0) {
         out.error = Internal("SDC case has no einsum to target");

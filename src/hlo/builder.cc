@@ -227,54 +227,47 @@ HloBuilder::Einsum(HloInstruction* lhs, HloInstruction* rhs,
 }
 
 HloInstruction*
-HloBuilder::AllGather(HloInstruction* operand, int64_t dim,
-                      std::vector<std::vector<int64_t>> groups)
+HloBuilder::Collective(HloOpcode opcode, HloInstruction* operand,
+                       int64_t dim, DeviceGroups groups)
 {
     InstrAttrs attrs;
     attrs.dim = dim;
-    attrs.groups = std::move(groups);
-    return AddInferred(HloOpcode::kAllGather, {operand}, std::move(attrs));
+    attrs.groups = groups;
+    return AddInferred(opcode, {operand}, std::move(attrs));
+}
+
+HloInstruction*
+HloBuilder::AllGather(HloInstruction* operand, int64_t dim,
+                      DeviceGroups groups)
+{
+    return Collective(HloOpcode::kAllGather, operand, dim, groups);
 }
 
 HloInstruction*
 HloBuilder::ReduceScatter(HloInstruction* operand, int64_t dim,
-                          std::vector<std::vector<int64_t>> groups)
+                          DeviceGroups groups)
 {
-    InstrAttrs attrs;
-    attrs.dim = dim;
-    attrs.groups = std::move(groups);
-    return AddInferred(HloOpcode::kReduceScatter, {operand},
-                       std::move(attrs));
+    return Collective(HloOpcode::kReduceScatter, operand, dim, groups);
 }
 
 HloInstruction*
-HloBuilder::AllReduce(HloInstruction* operand,
-                      std::vector<std::vector<int64_t>> groups)
+HloBuilder::AllReduce(HloInstruction* operand, DeviceGroups groups)
 {
-    InstrAttrs attrs;
-    attrs.groups = std::move(groups);
-    return AddInferred(HloOpcode::kAllReduce, {operand}, std::move(attrs));
+    return Collective(HloOpcode::kAllReduce, operand, -1, groups);
 }
 
 HloInstruction*
 HloBuilder::AllToAll(HloInstruction* operand, int64_t dim,
-                     std::vector<std::vector<int64_t>> groups)
+                     DeviceGroups groups)
 {
-    InstrAttrs attrs;
-    attrs.dim = dim;
-    attrs.groups = std::move(groups);
-    return AddInferred(HloOpcode::kAllToAll, {operand}, std::move(attrs));
+    return Collective(HloOpcode::kAllToAll, operand, dim, groups);
 }
 
 HloInstruction*
 HloBuilder::AllToAllStart(HloInstruction* operand, int64_t dim,
-                          std::vector<std::vector<int64_t>> groups)
+                          DeviceGroups groups)
 {
-    InstrAttrs attrs;
-    attrs.dim = dim;
-    attrs.groups = std::move(groups);
-    return AddInferred(HloOpcode::kAllToAllStart, {operand},
-                       std::move(attrs));
+    return Collective(HloOpcode::kAllToAllStart, operand, dim, groups);
 }
 
 HloInstruction*
@@ -289,23 +282,17 @@ HloBuilder::AllToAllDone(HloInstruction* start)
 }
 
 HloInstruction*
-HloBuilder::CollectivePermute(HloInstruction* operand,
-                              std::vector<std::pair<int64_t, int64_t>> pairs)
+HloBuilder::CollectivePermute(HloInstruction* operand, DeviceGroups ring)
 {
-    InstrAttrs attrs;
-    attrs.source_target_pairs = std::move(pairs);
-    return AddInferred(HloOpcode::kCollectivePermute, {operand},
-                       std::move(attrs));
+    return Collective(HloOpcode::kCollectivePermute, operand, -1, ring);
 }
 
 HloInstruction*
-HloBuilder::CollectivePermuteStart(
-    HloInstruction* operand, std::vector<std::pair<int64_t, int64_t>> pairs)
+HloBuilder::CollectivePermuteStart(HloInstruction* operand,
+                                   DeviceGroups ring)
 {
-    InstrAttrs attrs;
-    attrs.source_target_pairs = std::move(pairs);
-    return AddInferred(HloOpcode::kCollectivePermuteStart, {operand},
-                       std::move(attrs));
+    return Collective(HloOpcode::kCollectivePermuteStart, operand, -1,
+                      ring);
 }
 
 HloInstruction*

@@ -100,23 +100,24 @@ class HloBuilder {
     HloInstruction* Einsum(HloInstruction* lhs, HloInstruction* rhs,
                            const std::string& spec);
 
+    /**
+     * Collectives over `groups` (usually Mesh::AxisGroups(axis)). A
+     * permute's `ring` also carries its shift (Mesh::RingShift).
+     */
     HloInstruction* AllGather(HloInstruction* operand, int64_t dim,
-                              std::vector<std::vector<int64_t>> groups);
+                              DeviceGroups groups);
     HloInstruction* ReduceScatter(HloInstruction* operand, int64_t dim,
-                                  std::vector<std::vector<int64_t>> groups);
-    HloInstruction* AllReduce(HloInstruction* operand,
-                              std::vector<std::vector<int64_t>> groups);
+                                  DeviceGroups groups);
+    HloInstruction* AllReduce(HloInstruction* operand, DeviceGroups groups);
     HloInstruction* AllToAll(HloInstruction* operand, int64_t dim,
-                             std::vector<std::vector<int64_t>> groups);
+                             DeviceGroups groups);
     HloInstruction* AllToAllStart(HloInstruction* operand, int64_t dim,
-                                  std::vector<std::vector<int64_t>> groups);
+                                  DeviceGroups groups);
     HloInstruction* AllToAllDone(HloInstruction* start);
-    HloInstruction* CollectivePermute(
-        HloInstruction* operand,
-        std::vector<std::pair<int64_t, int64_t>> pairs);
-    HloInstruction* CollectivePermuteStart(
-        HloInstruction* operand,
-        std::vector<std::pair<int64_t, int64_t>> pairs);
+    HloInstruction* CollectivePermute(HloInstruction* operand,
+                                      DeviceGroups ring);
+    HloInstruction* CollectivePermuteStart(HloInstruction* operand,
+                                           DeviceGroups ring);
     HloInstruction* CollectivePermuteDone(HloInstruction* start);
 
     /** Scalar node depending on all `values` (keeps them live). */
@@ -126,6 +127,8 @@ class HloBuilder {
     HloInstruction* AddInferred(HloOpcode opcode,
                                 std::vector<HloInstruction*> operands,
                                 InstrAttrs attrs);
+    HloInstruction* Collective(HloOpcode opcode, HloInstruction* operand,
+                               int64_t dim, DeviceGroups groups);
 
     HloComputation* computation_;
 };

@@ -18,14 +18,6 @@ namespace {
  */
 std::mutex einsum_parse_mutex;
 
-/** Group size for a collective; 0 if groups are unset (meaning "all"). */
-int64_t
-GroupSize(const InstrAttrs& attrs)
-{
-    if (attrs.groups.empty()) return 0;
-    return static_cast<int64_t>(attrs.groups[0].size());
-}
-
 Status
 CheckOperandCount(HloOpcode opcode,
                   const std::vector<HloInstruction*>& operands, size_t want)
@@ -161,36 +153,19 @@ HloInstruction::ToString() const
       case HloOpcode::kReduceScatter:
       case HloOpcode::kAllToAll:
       case HloOpcode::kAllToAllStart:
-      case HloOpcode::kAllReduce: {
-          if (opcode_ != HloOpcode::kAllReduce) {
-              out += StrCat(", dim=", attrs_.dim);
-          }
-          std::vector<std::string> groups;
-          groups.reserve(attrs_.groups.size());
-          for (const auto& group : attrs_.groups) {
-              groups.push_back(StrCat("{", StrJoin(group, ","), "}"));
-          }
-          out += StrCat(", groups=", StrJoin(groups, ""));
+          out += StrCat(", dim=", attrs_.dim);
           break;
-      }
       case HloOpcode::kTranspose:
           out += StrCat(", perm={", StrJoin(attrs_.permutation, ","), "}");
           break;
       case HloOpcode::kAxisIndex:
           out += StrCat(", axis=", attrs_.mesh_axis);
           break;
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: {
-          std::vector<std::string> pairs;
-          pairs.reserve(attrs_.source_target_pairs.size());
-          for (const auto& [src, dst] : attrs_.source_target_pairs) {
-              pairs.push_back(StrCat("{", src, ",", dst, "}"));
-          }
-          out += StrCat(", pairs=", StrJoin(pairs, ""));
-          break;
-      }
       default:
           break;
+    }
+    if (attrs_.groups.size != 0) {
+        out += StrCat(", groups=", attrs_.groups.ToString());
     }
     if (attrs_.channel_id >= 0) {
         out += StrCat(", channel=", attrs_.channel_id);
@@ -211,6 +186,10 @@ InferInstructionShape(HloOpcode opcode,
                       const std::vector<HloInstruction*>& operands,
                       const InstrAttrs& attrs)
 {
+    if (IsExchange(opcode) && attrs.groups.size <= 0) {
+        return InvalidArgument(
+            StrCat(HloOpcodeName(opcode), " requires device groups"));
+    }
     switch (opcode) {
       case HloOpcode::kParameter:
       case HloOpcode::kConstant:
@@ -224,7 +203,10 @@ InferInstructionShape(HloOpcode opcode,
           return Shape(DType::kS32, {});
 
       case HloOpcode::kNegate:
-      case HloOpcode::kCopy: {
+      case HloOpcode::kCopy:
+      case HloOpcode::kAllReduce:
+      case HloOpcode::kCollectivePermute:
+      case HloOpcode::kCollectivePermuteStart: {
           OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
           return operands[0]->shape();
       }
@@ -392,81 +374,33 @@ InferInstructionShape(HloOpcode opcode,
 
       case HloOpcode::kAllGather: {
           OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
-          int64_t group = GroupSize(attrs);
-          if (group <= 0) {
-              return InvalidArgument("all-gather requires explicit groups");
-          }
           const Shape& in = operands[0]->shape();
           if (attrs.dim < 0 || attrs.dim >= in.rank()) {
               return InvalidArgument("all-gather dim out of range");
           }
           Shape out = in;
-          out.set_dim(attrs.dim, in.dim(attrs.dim) * group);
+          out.set_dim(attrs.dim, in.dim(attrs.dim) * attrs.groups.size);
           return out;
       }
 
-      case HloOpcode::kReduceScatter: {
-          OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
-          int64_t group = GroupSize(attrs);
-          if (group <= 0) {
-              return InvalidArgument(
-                  "reduce-scatter requires explicit groups");
-          }
-          const Shape& in = operands[0]->shape();
-          if (attrs.dim < 0 || attrs.dim >= in.rank()) {
-              return InvalidArgument("reduce-scatter dim out of range");
-          }
-          if (in.dim(attrs.dim) % group != 0) {
-              return InvalidArgument(
-                  "reduce-scatter dim not divisible by group size");
-          }
-          Shape out = in;
-          out.set_dim(attrs.dim, in.dim(attrs.dim) / group);
-          return out;
-      }
-
-      case HloOpcode::kAllReduce: {
-          OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
-          if (GroupSize(attrs) <= 0) {
-              return InvalidArgument(
-                  StrCat(HloOpcodeName(opcode), " requires explicit groups"));
-          }
-          return operands[0]->shape();
-      }
-
-      case HloOpcode::kAllToAll: {
-          OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
-          int64_t group = GroupSize(attrs);
-          if (group <= 0) {
-              return InvalidArgument("all-to-all requires explicit groups");
-          }
-          const Shape& in = operands[0]->shape();
-          if (attrs.dim < 0 || attrs.dim >= in.rank()) {
-              return InvalidArgument("all-to-all dim out of range");
-          }
-          if (in.dim(attrs.dim) % group != 0) {
-              return InvalidArgument(
-                  "all-to-all dim not divisible by group size");
-          }
-          return in;
-      }
-
+      case HloOpcode::kReduceScatter:
+      case HloOpcode::kAllToAll:
       case HloOpcode::kAllToAllStart: {
           OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
-          int64_t group = GroupSize(attrs);
-          if (group <= 0) {
-              return InvalidArgument(
-                  "all-to-all-start requires explicit groups");
-          }
           const Shape& in = operands[0]->shape();
           if (attrs.dim < 0 || attrs.dim >= in.rank()) {
-              return InvalidArgument("all-to-all-start dim out of range");
-          }
-          if (in.dim(attrs.dim) % group != 0) {
               return InvalidArgument(
-                  "all-to-all-start dim not divisible by group size");
+                  StrCat(HloOpcodeName(opcode), " dim out of range"));
           }
-          return in;
+          if (in.dim(attrs.dim) % attrs.groups.size != 0) {
+              return InvalidArgument(
+                  StrCat(HloOpcodeName(opcode),
+                         " dim not divisible by group size"));
+          }
+          if (opcode != HloOpcode::kReduceScatter) return in;
+          Shape out = in;
+          out.set_dim(attrs.dim, in.dim(attrs.dim) / attrs.groups.size);
+          return out;
       }
 
       case HloOpcode::kAllToAllDone: {
@@ -474,16 +408,6 @@ InferInstructionShape(HloOpcode opcode,
           if (operands[0]->opcode() != HloOpcode::kAllToAllStart) {
               return InvalidArgument(
                   "all-to-all-done operand must be an all-to-all-start");
-          }
-          return operands[0]->shape();
-      }
-
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: {
-          OVERLAP_RETURN_IF_ERROR(CheckOperandCount(opcode, operands, 1));
-          if (attrs.source_target_pairs.empty()) {
-              return InvalidArgument(
-                  "collective-permute requires source-target pairs");
           }
           return operands[0]->shape();
       }

@@ -10,6 +10,7 @@
 
 #include "hlo/opcode.h"
 #include "tensor/einsum.h"
+#include "tensor/mesh.h"
 #include "support/status.h"
 #include "tensor/shape.h"
 #include "tensor/sharding.h"
@@ -51,12 +52,9 @@ struct InstrAttrs {
     /// kTranspose: output dim i reads input dim permutation[i].
     std::vector<int64_t> permutation;
 
-    /// Collectives: device subgroups (each inner vector is one group, in
-    /// ring order). Empty means one group containing all devices.
-    std::vector<std::vector<int64_t>> groups;
-
-    /// kCollectivePermute(Start): {source, destination} device pairs.
-    std::vector<std::pair<int64_t, int64_t>> source_target_pairs;
+    /// Collectives: the device groups in iota form; permutes also carry
+    /// their ring shift. Unset (size 0) on every other opcode.
+    DeviceGroups groups;
 
     /// Collectives: optional channel id (-1 = none). An async Start and
     /// its Done carry the same id; the printer/parser round-trip it.

@@ -78,6 +78,13 @@ bool IsElementwiseBinary(HloOpcode opcode);
 /** True for any cross-device communication opcode. */
 bool IsCollective(HloOpcode opcode);
 
+/**
+ * True for the collectives that carry DeviceGroups and move data: every
+ * collective but an async Done (which reads its Start's groups and is
+ * the local identity once the Start has moved the data).
+ */
+bool IsExchange(HloOpcode opcode);
+
 /** True for the blocking (non-decomposed) collectives AG/RS/AR/A2A. */
 bool IsBlockingCollective(HloOpcode opcode);
 

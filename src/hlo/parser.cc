@@ -1,5 +1,6 @@
 #include "hlo/parser.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <unordered_map>
@@ -60,6 +61,20 @@ SplitTopLevel(const std::string& text, char sep)
     return parts;
 }
 
+/** Parses one decimal integer; rejects empty text and trailing junk. */
+StatusOr<int64_t>
+ParseInt(const std::string& raw)
+{
+    std::string text = Strip(raw);
+    char* end = nullptr;
+    errno = 0;
+    long long v = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno == ERANGE) {
+        return InvalidArgument("bad integer '" + raw + "'");
+    }
+    return static_cast<int64_t>(v);
+}
+
 /** Parses "{1,2,3}" or "1,2,3" into integers; empty -> empty. */
 StatusOr<std::vector<int64_t>>
 ParseIntList(std::string text)
@@ -74,34 +89,36 @@ ParseIntList(std::string text)
     std::vector<int64_t> values;
     if (Strip(text).empty()) return values;
     for (const std::string& item : StrSplit(text, ',')) {
-        char* end = nullptr;
-        long long v = std::strtoll(item.c_str(), &end, 10);
-        if (end == item.c_str()) {
-            return InvalidArgument("bad integer '" + item + "'");
-        }
-        values.push_back(v);
+        auto v = ParseInt(item);
+        if (!v.ok()) return v.status();
+        values.push_back(v.value());
     }
     return values;
 }
 
-/** Parses "{a,b}{c,d}..." into a list of brace groups. */
-StatusOr<std::vector<std::vector<int64_t>>>
-ParseGroupList(const std::string& text)
+/** Parses the DeviceGroups text form "{size=4,stride=2[,shift=1]}". */
+StatusOr<DeviceGroups>
+ParseDeviceGroups(std::string text)
 {
-    std::vector<std::vector<int64_t>> groups;
-    size_t pos = 0;
-    while (pos < text.size()) {
-        if (text[pos] != '{') {
-            return InvalidArgument("expected '{' in group list: " + text);
+    text = Strip(text);
+    if (text.size() < 2 || text.front() != '{' || text.back() != '}') {
+        return InvalidArgument("expected {size=..,stride=..}: " + text);
+    }
+    DeviceGroups groups;
+    for (const std::string& item :
+         StrSplit(text.substr(1, text.size() - 2), ',')) {
+        size_t eq = item.find('=');
+        std::string key = Strip(item.substr(0, eq));
+        int64_t* field = key == "size"     ? &groups.size
+                         : key == "stride" ? &groups.stride
+                         : key == "shift"  ? &groups.shift
+                                           : nullptr;
+        if (eq == std::string::npos || field == nullptr) {
+            return InvalidArgument("bad groups field '" + item + "'");
         }
-        size_t close = text.find('}', pos);
-        if (close == std::string::npos) {
-            return InvalidArgument("unterminated group in: " + text);
-        }
-        auto values = ParseIntList(text.substr(pos, close - pos + 1));
-        if (!values.ok()) return values.status();
-        groups.push_back(std::move(values).value());
-        pos = close + 1;
+        auto v = ParseInt(item.substr(eq + 1));
+        if (!v.ok()) return v.status();
+        *field = v.value();
     }
     return groups;
 }
@@ -283,25 +300,20 @@ class Parser {
                      InstrAttrs* attrs, int64_t* fusion_group,
                      int64_t* loop_group)
     {
-        auto as_int = [&value]() -> int64_t {
-            return std::strtoll(value.c_str(), nullptr, 10);
-        };
-        if (key == "index") {
-            attrs->parameter_number = as_int();
+        int64_t* scalar = key == "index"     ? &attrs->parameter_number
+                          : key == "dim"     ? &attrs->dim
+                          : key == "axis"    ? &attrs->mesh_axis
+                          : key == "channel" ? &attrs->channel_id
+                          : key == "chunk"   ? &attrs->a2a_chunk
+                          : key == "fusion"  ? fusion_group
+                          : key == "loop"    ? loop_group
+                                             : nullptr;
+        if (scalar != nullptr) {
+            auto v = ParseInt(value);
+            if (!v.ok()) return v.status();
+            *scalar = v.value();
         } else if (key == "spec") {
             attrs->einsum_spec = value;
-        } else if (key == "dim") {
-            attrs->dim = as_int();
-        } else if (key == "axis") {
-            attrs->mesh_axis = as_int();
-        } else if (key == "channel") {
-            attrs->channel_id = as_int();
-        } else if (key == "chunk") {
-            attrs->a2a_chunk = as_int();
-        } else if (key == "fusion") {
-            *fusion_group = as_int();
-        } else if (key == "loop") {
-            *loop_group = as_int();
         } else if (key == "starts") {
             auto list = ParseIntList(value);
             if (!list.ok()) return list.status();
@@ -323,18 +335,9 @@ class Parser {
             if (!list.ok()) return list.status();
             attrs->permutation = std::move(list).value();
         } else if (key == "groups") {
-            auto groups = ParseGroupList(value);
+            auto groups = ParseDeviceGroups(value);
             if (!groups.ok()) return groups.status();
-            attrs->groups = std::move(groups).value();
-        } else if (key == "pairs") {
-            auto groups = ParseGroupList(value);
-            if (!groups.ok()) return groups.status();
-            for (const auto& pair : groups.value()) {
-                if (pair.size() != 2) {
-                    return InvalidArgument("bad source-target pair");
-                }
-                attrs->source_target_pairs.emplace_back(pair[0], pair[1]);
-            }
+            attrs->groups = groups.value();
         } else if (key == "value") {
             if (opcode == HloOpcode::kPad) {
                 attrs->pad_value =

@@ -23,8 +23,10 @@ namespace overlap {
  *
  * Attributes follow the printer exactly: `index=`, `spec=`, `value={..}`,
  * `starts={..}`, `sizes={..}`, `dims={..}`, `low={..}`, `high={..}`,
- * `value=`, `dim=`, `perm={..}`, `axis=`, `groups={..}{..}`,
- * `pairs={s,t}{s,t}`, `channel=`, `fusion=`, `loop=`. Constants whose
+ * `value=`, `dim=`, `perm={..}`, `axis=`,
+ * `groups={size=S,stride=T[,shift=K]}` (DeviceGroups), `channel=`,
+ * `chunk=`, `fusion=`, `loop=`. Integers must be whole decimal
+ * tokens ("2x" is an error, not 2). Constants whose
  * literal was elided by the printer (more than 16 elements) parse as
  * zeros.
  *

@@ -1,6 +1,5 @@
 #include "hlo/verifier.h"
 
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -55,65 +54,22 @@ VerifyShape(const HloInstruction* instr)
 }
 
 Status
-VerifyCollective(const HloInstruction* instr, int64_t num_devices)
+VerifyCollective(const HloInstruction* instr, const Mesh* mesh)
 {
     const InstrAttrs& attrs = instr->attrs();
-    // all-to-all-start shares the blocking form's group layout, so it goes
-    // through the same group sanity checks.
-    if (IsBlockingCollective(instr->opcode()) ||
-        instr->opcode() == HloOpcode::kAllToAllStart) {
-        if (attrs.groups.empty()) {
-            return InvalidArgument(
-                StrCat("collective without groups at %", instr->name()));
-        }
-        std::set<int64_t> seen;
-        size_t group_size = attrs.groups[0].size();
-        for (const auto& group : attrs.groups) {
-            if (group.size() != group_size) {
-                return InvalidArgument(StrCat(
-                    "ragged collective groups at %", instr->name()));
-            }
-            for (int64_t device : group) {
-                if (device < 0 ||
-                    (num_devices > 0 && device >= num_devices)) {
-                    return InvalidArgument(StrCat(
-                        "device ", device, " out of range at %",
-                        instr->name()));
-                }
-                if (!seen.insert(device).second) {
-                    return InvalidArgument(
-                        StrCat("device ", device,
-                               " appears twice in groups at %",
-                               instr->name()));
-                }
-            }
-        }
-        if (num_devices > 0 &&
-            static_cast<int64_t>(seen.size()) != num_devices) {
-            return InvalidArgument(
-                StrCat("collective groups do not cover all ", num_devices,
-                       " devices at %", instr->name()));
-        }
+    if (IsExchange(instr->opcode())) {
+        OVERLAP_RETURN_IF_ERROR(VerifyDeviceGroups(
+            *instr, mesh != nullptr ? mesh->num_devices() : -1));
+    } else if (attrs.groups.size != 0) {
+        return InvalidArgument(
+            StrCat("groups attribute on non-collective %", instr->name()));
     }
-    if (instr->opcode() == HloOpcode::kCollectivePermute ||
-        instr->opcode() == HloOpcode::kCollectivePermuteStart) {
-        std::set<int64_t> sources, targets;
-        for (const auto& [src, dst] : attrs.source_target_pairs) {
-            if (src < 0 || dst < 0 ||
-                (num_devices > 0 &&
-                 (src >= num_devices || dst >= num_devices))) {
-                return InvalidArgument(StrCat(
-                    "permute pair out of range at %", instr->name()));
-            }
-            if (!sources.insert(src).second) {
-                return InvalidArgument(StrCat(
-                    "duplicate permute source at %", instr->name()));
-            }
-            if (!targets.insert(dst).second) {
-                return InvalidArgument(StrCat(
-                    "duplicate permute target at %", instr->name()));
-            }
-        }
+    if (instr->opcode() == HloOpcode::kAxisIndex &&
+        (attrs.mesh_axis < 0 ||
+         (mesh != nullptr && attrs.mesh_axis >= mesh->num_axes()))) {
+        return InvalidArgument(StrCat("axis-index axis ", attrs.mesh_axis,
+                                      " out of range at %",
+                                      instr->name()));
     }
     if (IsAsyncStart(instr->opcode())) {
         const HloOpcode want_done =
@@ -163,7 +119,20 @@ VerifyCollective(const HloInstruction* instr, int64_t num_devices)
 }  // namespace
 
 Status
-VerifyComputation(const HloComputation& computation, int64_t num_devices)
+VerifyDeviceGroups(const HloInstruction& instr, int64_t num_devices)
+{
+    Status valid = instr.attrs().groups.Validate(
+        num_devices,
+        instr.opcode() == HloOpcode::kCollectivePermute ||
+            instr.opcode() == HloOpcode::kCollectivePermuteStart);
+    if (!valid.ok()) {
+        return InvalidArgument(StrCat(valid.message(), " at %", instr.name()));
+    }
+    return Status::Ok();
+}
+
+Status
+VerifyComputation(const HloComputation& computation, const Mesh* mesh)
 {
     if (computation.root() == nullptr) {
         return InvalidArgument("computation has no root");
@@ -186,7 +155,7 @@ VerifyComputation(const HloComputation& computation, int64_t num_devices)
             }
         }
         OVERLAP_RETURN_IF_ERROR(VerifyShape(instr));
-        OVERLAP_RETURN_IF_ERROR(VerifyCollective(instr, num_devices));
+        OVERLAP_RETURN_IF_ERROR(VerifyCollective(instr, mesh));
         if (instr->opcode() == HloOpcode::kParameter) {
             ++param_count;
             if (!param_numbers.insert(instr->attrs().parameter_number)
@@ -237,9 +206,9 @@ VerifyModule(const HloModule& module)
     if (module.entry() == nullptr) {
         return InvalidArgument("module has no entry computation");
     }
-    int64_t num_devices =
-        module.mesh().has_value() ? module.mesh()->num_devices() : -1;
-    return VerifyComputation(*module.entry(), num_devices);
+    return VerifyComputation(
+        *module.entry(),
+        module.mesh().has_value() ? &*module.mesh() : nullptr);
 }
 
 }  // namespace overlap

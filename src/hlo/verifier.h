@@ -13,18 +13,26 @@ namespace overlap {
  *  - every instruction's shape matches shape inference;
  *  - parameter numbers are unique and dense from 0;
  *  - operand/user edges are consistent;
- *  - collective groups partition the device set (when a mesh is present)
- *    and CollectivePermute source/target pairs have unique sources and
- *    unique targets within range;
+ *  - collective group descriptors are well formed and tile the mesh
+ *    (when one is present), permutes shift by a non-identity amount,
+ *    and axis-index names an existing mesh axis — O(1) per instruction,
+ *    since groups are never explicit device lists (DeviceGroups);
  *  - each CollectivePermuteStart has exactly one Done user;
  *  - an attached schedule is a permutation of the instruction list and a
  *    valid topological order.
  */
 Status VerifyModule(const HloModule& module);
 
-/** Verifies one computation (without mesh-dependent collective checks). */
+/**
+ * Checks one collective's DeviceGroups on a `num_devices` mesh (<= 0:
+ * unknown): well formed, tiling the mesh, and a non-identity shift on
+ * exactly the permutes. O(1).
+ */
+Status VerifyDeviceGroups(const HloInstruction& instr, int64_t num_devices);
+
+/** Verifies one computation; mesh-dependent range checks need `mesh`. */
 Status VerifyComputation(const HloComputation& computation,
-                         int64_t num_devices = -1);
+                         const Mesh* mesh = nullptr);
 
 }  // namespace overlap
 

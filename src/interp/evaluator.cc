@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "hlo/builder.h"
+#include "hlo/verifier.h"
 #include "support/strings.h"
 #include "tensor/buffer_pool.h"
 
@@ -118,26 +119,6 @@ GatherStarts(const std::vector<const Tensor*>& operands,
     return starts;
 }
 
-/**
- * True for ops the interpreter evaluates as a cross-device exchange.
- * Narrower than hlo's IsCollective: a CollectivePermuteDone is the
- * local identity here (the Start already moved the data).
- */
-bool
-IsExchangeOp(HloOpcode opcode)
-{
-    switch (opcode) {
-      case HloOpcode::kAllGather:
-      case HloOpcode::kReduceScatter:
-      case HloOpcode::kAllReduce:
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kAllToAllStart:
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: return true;
-      default: return false;
-    }
-}
-
 /** Elementwise opcodes the evaluator fuses into single-pass groups. */
 bool
 IsFusableElementwise(HloOpcode opcode)
@@ -233,61 +214,23 @@ struct CompiledProgram {
 };
 
 /**
- * Validates the static facts of an exchange instruction (permute pair
- * sanity, all-to-all divisibility) exactly as the runtime checks used
- * to, so a compiled deferred error carries the identical Status.
+ * Validates the static facts of an exchange instruction (its group
+ * descriptor tiles the mesh, a permute's shift is not the identity,
+ * all-to-all divisibility), so a compiled deferred error carries the
+ * Status the walk would otherwise hit.
  */
 Status
 ValidateExchangeStatic(const HloInstruction* instr, const Mesh& mesh)
 {
-    const int64_t n = mesh.num_devices();
-    switch (instr->opcode()) {
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kAllToAllStart: {
-          int64_t dim = instr->attrs().dim;
-          for (const auto& group : instr->attrs().groups) {
-              int64_t g = static_cast<int64_t>(group.size());
-              if (instr->operand(0)->shape().dim(dim) % g != 0) {
-                  return InvalidArgument(
-                      "all-to-all dim not divisible by group size");
-              }
-          }
-          return Status::Ok();
-      }
-
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: {
-          // A device may appear at most once as a source and once
-          // as a target; a duplicate target would make the result
-          // depend on pair order, so it is an error (as in XLA),
-          // not a silent overwrite.
-          std::vector<bool> seen_src(static_cast<size_t>(n), false);
-          std::vector<bool> seen_dst(static_cast<size_t>(n), false);
-          for (const auto& [src, dst] :
-               instr->attrs().source_target_pairs) {
-              if (src < 0 || src >= n || dst < 0 || dst >= n) {
-                  return InvalidArgument(StrCat(
-                      instr->name(), ": source-target pair {", src, ",",
-                      dst, "} outside the ", n, "-device mesh"));
-              }
-              if (seen_src[static_cast<size_t>(src)]) {
-                  return InvalidArgument(StrCat(instr->name(),
-                                                ": duplicate source ", src,
-                                                " in source-target pairs"));
-              }
-              if (seen_dst[static_cast<size_t>(dst)]) {
-                  return InvalidArgument(StrCat(instr->name(),
-                                                ": duplicate target ", dst,
-                                                " in source-target pairs"));
-              }
-              seen_src[static_cast<size_t>(src)] = true;
-              seen_dst[static_cast<size_t>(dst)] = true;
-          }
-          return Status::Ok();
-      }
-
-      default: return Status::Ok();
+    OVERLAP_RETURN_IF_ERROR(VerifyDeviceGroups(*instr, mesh.num_devices()));
+    if ((instr->opcode() == HloOpcode::kAllToAll ||
+         instr->opcode() == HloOpcode::kAllToAllStart) &&
+        instr->operand(0)->shape().dim(instr->attrs().dim) %
+                instr->attrs().groups.size !=
+            0) {
+        return InvalidArgument("all-to-all dim not divisible by group size");
     }
+    return Status::Ok();
 }
 
 /**
@@ -320,7 +263,7 @@ Compile(const HloComputation& computation, const Mesh& mesh)
               op.kind = ExecKind::kCopyLike;
               break;
           default:
-              op.kind = IsExchangeOp(instr->opcode())
+              op.kind = IsExchange(instr->opcode())
                             ? ExecKind::kExchange
                             : ExecKind::kLocal;
               break;
@@ -863,47 +806,42 @@ EvalCollective(const HloInstruction* instr, const Mesh& mesh,
                std::vector<Tensor>* out)
 {
     const int64_t n = mesh.num_devices();
+    const DeviceGroups& groups = instr->attrs().groups;
     switch (instr->opcode()) {
       case HloOpcode::kAllGather:
       case HloOpcode::kReduceScatter:
       case HloOpcode::kAllReduce:
       case HloOpcode::kAllToAll:
       case HloOpcode::kAllToAllStart: {
-          for (const auto& group : instr->attrs().groups) {
-              std::vector<const Tensor*> group_inputs;
-              group_inputs.reserve(group.size());
-              for (int64_t member : group) {
-                  group_inputs.push_back(
-                      inputs[static_cast<size_t>(member)]);
+          // Groups run in ascending base order; each group's arithmetic
+          // is independent and in fixed member order.
+          std::vector<const Tensor*> group_inputs(
+              static_cast<size_t>(groups.size));
+          for (int64_t base = 0; base < n; ++base) {
+              if (groups.Position(base) != 0) continue;
+              for (int64_t k = 0; k < groups.size; ++k) {
+                  group_inputs[static_cast<size_t>(k)] = inputs[
+                      static_cast<size_t>(base + k * groups.stride)];
               }
               auto outs = EvalGroupCollective(instr, group_inputs);
               if (!outs.ok()) return outs.status();
-              for (size_t i = 0; i < group.size(); ++i) {
-                  (*out)[static_cast<size_t>(group[i])] =
-                      std::move((*outs)[i]);
+              for (int64_t k = 0; k < groups.size; ++k) {
+                  (*out)[static_cast<size_t>(base + k * groups.stride)] =
+                      std::move((*outs)[static_cast<size_t>(k)]);
               }
           }
           return Status::Ok();
       }
 
       case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: {
-          OVERLAP_RETURN_IF_ERROR(ValidateExchangeStatic(instr, mesh));
-          std::vector<bool> receives(static_cast<size_t>(n), false);
-          for (const auto& [src, dst] :
-               instr->attrs().source_target_pairs) {
-              receives[static_cast<size_t>(dst)] = true;
-              (*out)[static_cast<size_t>(dst)] =
-                  *inputs[static_cast<size_t>(src)];
-          }
+      case HloOpcode::kCollectivePermuteStart:
+          // A validated ring shift is a bijection: every device sends
+          // once and receives once.
           for (int64_t d = 0; d < n; ++d) {
-              if (!receives[static_cast<size_t>(d)]) {
-                  (*out)[static_cast<size_t>(d)] =
-                      Tensor(instr->shape());
-              }
+              (*out)[static_cast<size_t>(groups.Target(d))] =
+                  *inputs[static_cast<size_t>(d)];
           }
           return Status::Ok();
-      }
 
       default: break;
     }

@@ -74,12 +74,12 @@ struct EvalOptions {
  * Executes the entry computation on every device of the mesh with full
  * collective semantics: AllGather concatenation in group order,
  * ReduceScatter element-wise reduction + scatter, AllReduce, AllToAll,
- * and CollectivePermute data movement (devices that receive nothing get
- * zeros, matching XLA). A CollectivePermuteStart performs the data
- * movement and its Done is the identity, so the async pair behaves
- * exactly like the sync op — their timing behaviour lives in the
- * simulator. Source-target pairs with a duplicate source or target, or
- * with a device id outside the mesh, are rejected as invalid.
+ * and CollectivePermute ring-shift data movement. A
+ * CollectivePermuteStart performs the data movement and its Done is the
+ * identity, so the async pair behaves exactly like the sync op — their
+ * timing behaviour lives in the simulator. Group descriptors that do
+ * not tile the mesh, and identity permute shifts, are rejected as
+ * invalid.
  *
  * Evaluation is a serial lock-step walk: one instruction at a time
  * across all devices, collectives combining their group members in

@@ -537,7 +537,7 @@ BuildInferenceTowerModule(const Mesh& mesh, const InferenceTowerSpec& spec)
     for (int64_t layer = 0; layer < spec.num_layers; ++layer) {
         auto* w_shard = b.Parameter(
             1 + layer, BF16({spec.hidden, spec.hidden / ring}));
-        auto* w = b.AllGather(w_shard, 1, mesh.Groups(0));
+        auto* w = b.AllGather(w_shard, 1, mesh.AxisGroups(0));
         act = b.Einsum(act, w, "bf,fh->bh");
     }
     comp->set_root(act);

@@ -13,7 +13,7 @@ CreateAsyncCollectivePermutes(HloComputation* computation)
     for (HloInstruction* instr : computation->instructions()) {
         if (instr->opcode() != HloOpcode::kCollectivePermute) continue;
         HloInstruction* start = builder.CollectivePermuteStart(
-            instr->operand(0), instr->attrs().source_target_pairs);
+            instr->operand(0), instr->attrs().groups);
         HloInstruction* done = builder.CollectivePermuteDone(start);
         // Each Start/Done pair gets its own channel (preserved by the
         // sync op's channel when it already had one).

@@ -8,22 +8,6 @@
 
 namespace overlap {
 
-std::vector<std::pair<int64_t, int64_t>>
-RingShiftPairs(const Mesh& mesh, int64_t axis, int64_t step)
-{
-    int64_t n = mesh.axis_size(axis);
-    OVERLAP_CHECK(((step % n) + n) % n != 0);
-    std::vector<std::pair<int64_t, int64_t>> pairs;
-    for (const auto& group : mesh.Groups(axis)) {
-        for (int64_t j = 0; j < n; ++j) {
-            int64_t dst = ((j - step) % n + n) % n;
-            pairs.emplace_back(group[static_cast<size_t>(j)],
-                               group[static_cast<size_t>(dst)]);
-        }
-    }
-    return pairs;
-}
-
 bool
 ChunkSplitEligible(int64_t parts, int64_t extent)
 {
@@ -441,7 +425,7 @@ class LoopEmitter {
     {
         if (((step % n_) + n_) % n_ == 0) return value;  // identity
         return builder_.CollectivePermute(
-            MaybeCopy(value), RingShiftPairs(mesh_, site_.mesh_axis, step));
+            MaybeCopy(value), mesh_.RingShift(site_.mesh_axis, step));
     }
 
     /**
@@ -455,7 +439,7 @@ class LoopEmitter {
     {
         if (((k % n_) + n_) % n_ == 0) return value;
         HloInstruction* permute = builder_.CollectivePermute(
-            MaybeCopy(value), RingShiftPairs(mesh_, site_.mesh_axis, k));
+            MaybeCopy(value), mesh_.RingShift(site_.mesh_axis, k));
         permute->mutable_attrs().a2a_chunk = k;
         return permute;
     }
@@ -808,8 +792,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                 ++stats.skipped_unsupported;
                 continue;
             }
-            int64_t axis =
-                mesh_.InferGroupsAxis(operand->attrs().groups);
+            int64_t axis = mesh_.AxisOf(operand->attrs().groups);
             if (axis < 0) {
                 ++stats.skipped_unsupported;
                 continue;
@@ -840,7 +823,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
                 ++stats.skipped_unsupported;
                 continue;
             }
-            int64_t axis = mesh_.InferGroupsAxis(operand->attrs().groups);
+            int64_t axis = mesh_.AxisOf(operand->attrs().groups);
             if (axis < 0) {
                 ++stats.skipped_unsupported;
                 continue;
@@ -874,7 +857,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         if (options_.all_to_all && einsum->users().size() == 1 &&
             einsum->users()[0]->opcode() == HloOpcode::kAllToAll) {
             HloInstruction* a2a = einsum->users()[0];
-            int64_t axis = mesh_.InferGroupsAxis(a2a->attrs().groups);
+            int64_t axis = mesh_.AxisOf(a2a->attrs().groups);
             char label = spec.out_labels()[static_cast<size_t>(
                 a2a->attrs().dim)];
             EinsumDimKind kind = spec.KindOf(label);
@@ -910,7 +893,7 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         if (einsum->users().size() == 1 &&
             einsum->users()[0]->opcode() == HloOpcode::kReduceScatter) {
             HloInstruction* rs = einsum->users()[0];
-            int64_t axis = mesh_.InferGroupsAxis(rs->attrs().groups);
+            int64_t axis = mesh_.AxisOf(rs->attrs().groups);
             char label = spec.out_labels()[static_cast<size_t>(
                 rs->attrs().dim)];
             EinsumDimKind kind = spec.KindOf(label);

@@ -302,17 +302,6 @@ class CollectiveEinsumDecomposer {
     DecomposeOptions options_;
 };
 
-/**
- * Returns the {source, target} pairs of a CollectivePermute that moves
- * data `step` positions *down* along every ring of `axis` (data on ring
- * position j arrives at position j - step, wrapping). Negative `step`
- * moves data up (clockwise). `step` must not be a multiple of the ring
- * size (that permute would be the identity).
- */
-std::vector<std::pair<int64_t, int64_t>> RingShiftPairs(const Mesh& mesh,
-                                                        int64_t axis,
-                                                        int64_t step);
-
 }  // namespace overlap
 
 #endif  // OVERLAP_PASSES_DECOMPOSE_H_

@@ -6,15 +6,6 @@
 namespace overlap {
 namespace {
 
-/** Group size of a blocking collective (>=1). */
-int64_t
-GroupSizeOf(const HloInstruction* instr)
-{
-    const auto& groups = instr->attrs().groups;
-    if (groups.empty() || groups[0].empty()) return 1;
-    return static_cast<int64_t>(groups[0].size());
-}
-
 bool
 IsScalarShaped(const HloInstruction* instr)
 {
@@ -67,7 +58,7 @@ CostModel::ElementwiseSeconds(const HloInstruction* instr) const
 double
 CostModel::BlockingCollectiveSeconds(const HloInstruction* instr) const
 {
-    int64_t group = GroupSizeOf(instr);
+    int64_t group = instr->attrs().groups.size;
     if (group <= 1) return spec_.op_overhead;
     double g = static_cast<double>(group);
     double bw = spec_.link_bandwidth;

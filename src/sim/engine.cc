@@ -20,50 +20,34 @@ struct PermuteRoute {
     int64_t hops = 1;
 };
 
-/**
- * Derives the route from the first source-target pair (all pairs of one
- * ring-shift permute are congruent by construction).
- */
+/** The route of a ring-shift permute along its groups' mesh axis. */
 StatusOr<PermuteRoute>
 RouteOf(const Mesh& mesh, const HloInstruction* permute)
 {
-    const auto& pairs = permute->attrs().source_target_pairs;
-    if (pairs.empty()) return InvalidArgument("permute without pairs");
-    auto [src, dst] = pairs.front();
-    std::vector<int64_t> src_coords = mesh.Coords(src);
-    std::vector<int64_t> dst_coords = mesh.Coords(dst);
+    const DeviceGroups& groups = permute->attrs().groups;
     PermuteRoute route;
-    bool found = false;
-    for (int64_t axis = 0; axis < mesh.num_axes(); ++axis) {
-        if (src_coords[static_cast<size_t>(axis)] ==
-            dst_coords[static_cast<size_t>(axis)]) {
-            continue;
-        }
-        if (found) {
-            return Unimplemented(
-                "multi-axis collective-permute routing not modeled");
-        }
-        found = true;
-        route.axis = axis;
-        int64_t n = mesh.axis_size(axis);
-        int64_t delta = (dst_coords[static_cast<size_t>(axis)] -
-                             src_coords[static_cast<size_t>(axis)] + n) %
-                        n;
-        if (2 * delta == n) {
-            // Antipodal move (e.g. the only hop of a 2-device ring):
-            // either direction reaches it; the caller load-balances.
-            route.direction = -1;
-            route.hops = delta;
-        } else if (delta < n - delta) {
-            route.direction = 1;
-            route.hops = delta;
-        } else {
-            route.direction = 0;
-            route.hops = n - delta;
-        }
+    route.axis = mesh.AxisOf(groups);
+    if (route.axis < 0) {
+        return Unimplemented(
+            "collective-permute off a mesh-axis ring not modeled");
     }
-    if (!found) {
+    // Data moves `shift` positions down the ring: `delta` up.
+    int64_t n = groups.size;
+    int64_t delta = (n - groups.shift % n) % n;
+    if (delta == 0) {
         return InvalidArgument("self-permute should not reach the engine");
+    }
+    if (2 * delta == n) {
+        // Antipodal move (e.g. the only hop of a 2-device ring): either
+        // direction reaches it; the caller load-balances.
+        route.direction = -1;
+        route.hops = delta;
+    } else if (delta < n - delta) {
+        route.direction = 1;
+        route.hops = delta;
+    } else {
+        route.direction = 0;
+        route.hops = n - delta;
     }
     return route;
 }
@@ -82,19 +66,6 @@ ChannelUsesLink(const Mesh& mesh, int64_t axis, int64_t dir, int64_t src,
 {
     if (src < 0 || src >= mesh.num_devices()) return false;
     return mesh.RingNeighbor(src, axis, dir == 0 ? -1 : 1) == dst;
-}
-
-/** True when any device group of the collective contains `chip`. */
-bool
-GroupsInvolveChip(const std::vector<std::vector<int64_t>>& groups,
-                  int64_t chip)
-{
-    for (const auto& group : groups) {
-        for (int64_t device : group) {
-            if (device == chip) return true;
-        }
-    }
-    return false;
 }
 
 /**
@@ -167,27 +138,6 @@ CheckNoDeadlock(const std::vector<SchedUnit*>& order,
             StrJoin(names, ", ")));
     }
     return Status::Ok();
-}
-
-/**
- * Ops the SDC layer counts as a data exchange when assigning transfer
- * ordinals. Must mirror the evaluator's IsExchangeOp so a
- * SilentCorruption's `instruction` names the same collective in both the
- * simulator's timing model and the evaluator's data model.
- */
-bool
-IsSdcExchangeOp(HloOpcode opcode)
-{
-    switch (opcode) {
-      case HloOpcode::kAllGather:
-      case HloOpcode::kReduceScatter:
-      case HloOpcode::kAllReduce:
-      case HloOpcode::kAllToAll:
-      case HloOpcode::kAllToAllStart:
-      case HloOpcode::kCollectivePermute:
-      case HloOpcode::kCollectivePermuteStart: return true;
-      default: return false;
-    }
 }
 
 /** Why an async transfer can never arrive. */
@@ -329,31 +279,21 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                         ? 0.0
                         : permanent->fail_time_seconds;
     }
-    // True when a comm op on (axis, dir ring channel / device groups)
-    // needs the dead entity.
-    auto permute_involves_dead = [&](const HloInstruction* head,
-                                     int64_t axis,
-                                     int64_t dir) -> bool {
+    // True when a comm op on (axis, dir ring channel) needs the dead
+    // entity. Collective groups tile the whole mesh, so every one of
+    // them needs a dead chip exactly when its id is on the mesh.
+    const bool dead_chip_on_mesh = permanent != nullptr &&
+                                   permanent->IsChip() &&
+                                   permanent->chip < mesh_.num_devices();
+    auto permute_involves_dead = [&](int64_t axis, int64_t dir) -> bool {
         if (permanent == nullptr) return false;
-        if (permanent->IsChip()) {
-            for (const auto& [src, dst] :
-                 head->attrs().source_target_pairs) {
-                if (src == permanent->chip || dst == permanent->chip) {
-                    return true;
-                }
-            }
-            return false;
-        }
+        if (permanent->IsChip()) return dead_chip_on_mesh;
         return ChannelUsesLink(mesh_, axis, dir, permanent->link_src,
                                permanent->link_dst);
     };
-    auto collective_involves_dead =
-        [&](const std::vector<std::vector<int64_t>>& groups,
-            int64_t axis) -> bool {
+    auto collective_involves_dead = [&](int64_t axis) -> bool {
         if (permanent == nullptr) return false;
-        if (permanent->IsChip()) {
-            return GroupsInvolveChip(groups, permanent->chip);
-        }
+        if (permanent->IsChip()) return dead_chip_on_mesh;
         if (axis < 0) return true;  // occupies every channel
         return ChannelUsesLink(mesh_, axis, 0, permanent->link_src,
                                permanent->link_dst) ||
@@ -389,7 +329,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
         for (const HloInstruction* instr : computation.instructions()) {
             if (instr->opcode() == HloOpcode::kEinsum) {
                 einsum_ordinals[instr] = num_einsums++;
-            } else if (IsSdcExchangeOp(instr->opcode())) {
+            } else if (IsExchange(instr->opcode())) {
                 exchange_ordinals[instr] =
                     static_cast<int64_t>(exchange_ordinals.size());
             }
@@ -556,8 +496,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 killed[unit] = info;
                 arrival[unit] =
                     std::numeric_limits<double>::infinity();
-            } else if (permute_involves_dead(head, route->axis,
-                                             direction) &&
+            } else if (permute_involves_dead(route->axis, direction) &&
                        end_transfer > dead_from) {
                 KilledTransfer info;
                 info.cause = permanent->IsChip()
@@ -631,10 +570,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             // exchange occupies both ring directions of its group axis
             // for the blocking form's duration, but the device does not
             // stall — the wait, if any, lands on the matching Done.
-            const auto& groups = head->attrs().groups;
-            int64_t group_size =
-                groups.empty() ? 1
-                               : static_cast<int64_t>(groups[0].size());
+            const DeviceGroups& groups = head->attrs().groups;
             double duration = cost_.BlockingCollectiveSeconds(head);
             double bytes = static_cast<double>(
                 head->operand(0)->shape().byte_size());
@@ -652,15 +588,15 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             }
             double begin = time;
             bool exchange_killed = false;
-            if (group_size > 1) {
-                int64_t axis = mesh_.InferGroupsAxis(groups);
+            if (groups.size > 1) {
+                int64_t axis = mesh_.AxisOf(groups);
                 size_t first = axis >= 0 ? static_cast<size_t>(axis * 2)
                                          : 0;
                 size_t last = axis >= 0 ? first + 2 : channel_free.size();
                 for (size_t c = first; c < last; ++c) {
                     begin = std::max(begin, channel_free[c]);
                 }
-                if (collective_involves_dead(groups, axis) &&
+                if (collective_involves_dead(axis) &&
                     begin + duration > dead_from) {
                     KilledTransfer info;
                     info.cause = permanent->IsChip()
@@ -764,7 +700,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 fail_at(unit, info, {});
                 return outcome;
             }
-            if (permute_involves_dead(head, route->axis, direction) &&
+            if (permute_involves_dead(route->axis, direction) &&
                 end > dead_from) {
                 KilledTransfer info;
                 info.cause = permanent->IsChip()
@@ -799,15 +735,12 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
             }
         } else if (unit->members.size() == 1 &&
                    IsBlockingCollective(head->opcode())) {
-            const auto& groups = head->attrs().groups;
-            int64_t group_size =
-                groups.empty() ? 1
-                               : static_cast<int64_t>(groups[0].size());
+            const DeviceGroups& groups = head->attrs().groups;
             double duration = cost_.BlockingCollectiveSeconds(head);
             double begin = time;
             int64_t axis = -1;
-            if (group_size > 1) {
-                axis = mesh_.InferGroupsAxis(groups);
+            if (groups.size > 1) {
+                axis = mesh_.AxisOf(groups);
                 // Occupy the axis's two directions; a collective whose
                 // groups span several axes occupies every channel.
                 size_t first = axis >= 0 ? static_cast<size_t>(axis * 2)
@@ -816,7 +749,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 for (size_t c = first; c < last; ++c) {
                     begin = std::max(begin, channel_free[c]);
                 }
-                if (collective_involves_dead(groups, axis) &&
+                if (collective_involves_dead(axis) &&
                     begin + duration > dead_from) {
                     KilledTransfer info;
                     info.cause = permanent->IsChip()

@@ -26,7 +26,7 @@ SpmdBuilder::AllGatherDim(const ShardedValue& value, int64_t dim)
     int64_t axis = value.sharding.axis_for_dim(dim);
     if (axis < 0) return value;  // already replicated on this dim
     ShardedValue out = value;
-    out.local = builder_.AllGather(value.local, dim, mesh_.Groups(axis));
+    out.local = builder_.AllGather(value.local, dim, mesh_.AxisGroups(axis));
     out.sharding.set_axis_for_dim(dim, -1);
     return out;
 }
@@ -47,7 +47,7 @@ SpmdBuilder::AllToAllDim(const ShardedValue& value, int64_t dim,
     }
     ShardedValue out = value;
     out.local =
-        builder_.AllToAll(value.local, dim, mesh_.Groups(mesh_axis));
+        builder_.AllToAll(value.local, dim, mesh_.AxisGroups(mesh_axis));
     return out;
 }
 
@@ -55,7 +55,7 @@ ShardedValue
 SpmdBuilder::AllReduceAxis(const ShardedValue& value, int64_t mesh_axis)
 {
     ShardedValue out = value;
-    out.local = builder_.AllReduce(value.local, mesh_.Groups(mesh_axis));
+    out.local = builder_.AllReduce(value.local, mesh_.AxisGroups(mesh_axis));
     return out;
 }
 
@@ -231,10 +231,10 @@ SpmdBuilder::Einsum(const ShardedValue& lhs, const ShardedValue& rhs,
         int64_t d = desired.dim_for_axis(axis);
         if (d >= 0 && current.axis_for_dim(d) < 0) {
             local_out =
-                builder_.ReduceScatter(local_out, d, mesh_.Groups(axis));
+                builder_.ReduceScatter(local_out, d, mesh_.AxisGroups(axis));
             current.set_axis_for_dim(d, axis);
         } else {
-            local_out = builder_.AllReduce(local_out, mesh_.Groups(axis));
+            local_out = builder_.AllReduce(local_out, mesh_.AxisGroups(axis));
         }
     }
 
@@ -253,7 +253,7 @@ SpmdBuilder::Einsum(const ShardedValue& lhs, const ShardedValue& rhs,
         int64_t want = desired.axis_for_dim(d);
         if (cur == want) continue;
         if (cur >= 0 && want < 0) {
-            local_out = builder_.AllGather(local_out, d, mesh_.Groups(cur));
+            local_out = builder_.AllGather(local_out, d, mesh_.AxisGroups(cur));
             current.set_axis_for_dim(d, -1);
         } else if (cur < 0 && want >= 0) {
             if (axis_in_use(want)) {

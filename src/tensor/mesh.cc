@@ -37,38 +37,6 @@ Mesh::DeviceAt(const std::vector<int64_t>& coords) const
     return device;
 }
 
-std::vector<std::vector<int64_t>>
-Mesh::Groups(int64_t axis) const
-{
-    OVERLAP_CHECK(axis >= 0 && axis < num_axes());
-    std::vector<std::vector<int64_t>> groups;
-    int64_t group_size = dims_[static_cast<size_t>(axis)];
-    int64_t num_groups = num_devices() / group_size;
-    groups.reserve(static_cast<size_t>(num_groups));
-    // Enumerate the fixed coordinates of the other axes.
-    std::vector<int64_t> coords(dims_.size(), 0);
-    for (int64_t g = 0; g < num_groups; ++g) {
-        std::vector<int64_t> group;
-        group.reserve(static_cast<size_t>(group_size));
-        for (int64_t i = 0; i < group_size; ++i) {
-            coords[static_cast<size_t>(axis)] = i;
-            group.push_back(DeviceAt(coords));
-        }
-        groups.push_back(std::move(group));
-        // Advance the non-axis coordinates (row-major).
-        for (int64_t a = static_cast<int64_t>(dims_.size()) - 1; a >= 0;
-             --a) {
-            if (a == axis) continue;
-            if (++coords[static_cast<size_t>(a)] <
-                dims_[static_cast<size_t>(a)]) {
-                break;
-            }
-            coords[static_cast<size_t>(a)] = 0;
-        }
-    }
-    return groups;
-}
-
 int64_t
 Mesh::PositionInGroup(int64_t device, int64_t axis) const
 {
@@ -91,13 +59,73 @@ Mesh::ToString() const
     return StrCat("mesh[", StrJoin(dims_, ","), "]");
 }
 
+DeviceGroups
+Mesh::AxisGroups(int64_t axis) const
+{
+    OVERLAP_CHECK(axis >= 0 && axis < num_axes());
+    DeviceGroups groups;
+    groups.size = dims_[static_cast<size_t>(axis)];
+    for (size_t a = static_cast<size_t>(axis) + 1; a < dims_.size(); ++a) {
+        groups.stride *= dims_[a];
+    }
+    return groups;
+}
+
+DeviceGroups
+Mesh::RingShift(int64_t axis, int64_t step) const
+{
+    DeviceGroups groups = AxisGroups(axis);
+    groups.shift = (step % groups.size + groups.size) % groups.size;
+    OVERLAP_CHECK(groups.shift != 0);
+    return groups;
+}
+
 int64_t
-Mesh::InferGroupsAxis(const std::vector<std::vector<int64_t>>& groups) const
+Mesh::AxisOf(const DeviceGroups& groups) const
 {
     for (int64_t axis = 0; axis < num_axes(); ++axis) {
-        if (Groups(axis) == groups) return axis;
+        DeviceGroups along = AxisGroups(axis);
+        // Singleton groups are the same device lists at any stride.
+        if (groups.size == along.size &&
+            (groups.size == 1 || groups.stride == along.stride)) {
+            return axis;
+        }
     }
     return -1;
+}
+
+Status
+DeviceGroups::Validate(int64_t num_devices, bool permute) const
+{
+    if (size < 1 || stride < 1) {
+        return InvalidArgument(
+            StrCat("collective groups ", ToString(),
+                   " need size >= 1 and stride >= 1"));
+    }
+    if (num_devices > 0 &&
+        (size > num_devices || stride > num_devices ||
+         num_devices % (size * stride) != 0)) {
+        return InvalidArgument(StrCat("collective groups ", ToString(),
+                                      " do not tile the ", num_devices,
+                                      "-device mesh"));
+    }
+    if (permute && shift % size == 0) {
+        return InvalidArgument(StrCat("collective-permute groups ",
+                                      ToString(), " shift nothing"));
+    }
+    if (!permute && shift != 0) {
+        return InvalidArgument(StrCat("ring shift on a non-permute ",
+                                      "collective: ", ToString()));
+    }
+    return Status::Ok();
+}
+
+std::string
+DeviceGroups::ToString() const
+{
+    std::string out = StrCat("{size=", size, ",stride=", stride);
+    if (shift != 0) out += StrCat(",shift=", shift);
+    return out + "}";
 }
 
 }  // namespace overlap

@@ -5,7 +5,63 @@
 #include <string>
 #include <vector>
 
+#include "support/status.h"
+
 namespace overlap {
+
+/**
+ * The device groups of a collective in iota form (XLA's iota
+ * replica-group list): the devices split into groups of `size`, and
+ * the group of device d is base + k*stride for k < size, in ring order
+ * (base is the member at position 0). `size` x `stride` must divide the
+ * device count, so groups are never ragged, never repeat a device and
+ * always cover the mesh. A mesh axis is one such descriptor
+ * (Mesh::AxisGroups).
+ *
+ * A CollectivePermute adds a ring `shift`: ring position j sends to
+ * position (j - shift) mod size, i.e. data moves `shift` positions down
+ * every ring (negative moves it up).
+ */
+struct DeviceGroups {
+    /// Devices per group; 0 on instructions that are not collectives.
+    int64_t size = 0;
+    /// Device-id distance between ring neighbours.
+    int64_t stride = 1;
+    /// Permutes only: ring positions the data moves down.
+    int64_t shift = 0;
+
+    /** Ring position of `device` within its group. */
+    int64_t Position(int64_t device) const
+    {
+        return (device / stride) % size;
+    }
+
+    /** The device at ring position `k` of `device`'s group. */
+    int64_t Member(int64_t device, int64_t k) const
+    {
+        return device + (k - Position(device)) * stride;
+    }
+
+    /** Where `device` sends under the ring shift. */
+    int64_t Target(int64_t device) const
+    {
+        return Member(device,
+                      (Position(device) - shift % size + size) % size);
+    }
+
+    /**
+     * OK iff the descriptor is well formed on a `num_devices` mesh
+     * (<= 0: no mesh known, the tiling is not checked). A permute
+     * needs a shift that is not a multiple of `size`; any other
+     * collective needs shift 0. O(1).
+     */
+    Status Validate(int64_t num_devices, bool permute) const;
+
+    /** Text form: "{size=4,stride=2}", plus ",shift=1" when nonzero. */
+    std::string ToString() const;
+
+    bool operator==(const DeviceGroups& other) const = default;
+};
 
 /**
  * A logical device mesh (1-D ring or 2-D torus) onto which tensors are
@@ -34,11 +90,23 @@ class Mesh {
     int64_t DeviceAt(const std::vector<int64_t>& coords) const;
 
     /**
-     * All communication subgroups along `axis`: each group contains the
-     * devices that differ only in their `axis` coordinate, ordered by that
-     * coordinate. E.g. on a [2,4] mesh, Groups(1) yields 2 groups of 4.
+     * The groups along `axis` as a descriptor: the axis size, strided
+     * by the product of the later axes (device IDs are row-major).
      */
-    std::vector<std::vector<int64_t>> Groups(int64_t axis) const;
+    DeviceGroups AxisGroups(int64_t axis) const;
+
+    /**
+     * AxisGroups(axis) with ring shift `step` (a CollectivePermute that
+     * moves data `step` positions down every ring of `axis`); `step`
+     * must not be a multiple of the axis size.
+     */
+    DeviceGroups RingShift(int64_t axis, int64_t step) const;
+
+    /**
+     * The mesh axis `groups` run along, or -1 when none does (e.g.
+     * whole-mesh groups on a 2-D mesh). O(axes).
+     */
+    int64_t AxisOf(const DeviceGroups& groups) const;
 
     /**
      * The position of `device` within its subgroup along `axis`
@@ -53,13 +121,6 @@ class Mesh {
     int64_t RingNeighbor(int64_t device, int64_t axis, int64_t step) const;
 
     std::string ToString() const;
-
-    /**
-     * Infers which mesh axis a collective's device groups run along by
-     * matching them against Groups(axis); -1 if no axis matches.
-     */
-    int64_t InferGroupsAxis(
-        const std::vector<std::vector<int64_t>>& groups) const;
 
     bool operator==(const Mesh& other) const { return dims_ == other.dims_; }
 

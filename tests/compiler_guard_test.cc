@@ -30,7 +30,7 @@ BuildModule()
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {2048, 4096}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {4096, 8192}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     return module;
 }
@@ -210,11 +210,11 @@ BuildMixedSitesModule(const Mesh& mesh)
     HloBuilder b(comp);
     auto* big_p = b.Parameter(0, Shape(DType::kBF16, {2048, 4096}));
     auto* big_w = b.Parameter(1, Shape(DType::kBF16, {4096, 8192}));
-    auto* big = b.Einsum(b.AllGather(big_p, 0, mesh.Groups(0)), big_w,
+    auto* big = b.Einsum(b.AllGather(big_p, 0, mesh.AxisGroups(0)), big_w,
                          "bf,fh->bh");
     auto* slow_p = b.Parameter(2, Shape({1024, 4096}));
     auto* slow_w = b.Parameter(3, Shape({512, 512}));
-    auto* slow = b.Einsum(slow_p, b.AllGather(slow_w, 0, mesh.Groups(0)),
+    auto* slow = b.Einsum(slow_p, b.AllGather(slow_w, 0, mesh.AxisGroups(0)),
                           "bf,fh->bh");
     comp->set_root(b.Tuple({big, slow}));
     return module;
@@ -290,7 +290,7 @@ TEST(CompilerGuardTest, IneligibleSiteIsNeverCountedFaultLowered)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {2047, 4096}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {4096, 8192}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
 
     CompilerOptions options;

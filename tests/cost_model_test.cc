@@ -40,7 +40,7 @@ TEST_F(CostModelTest, AllGatherUsesBidirectionalRing)
     HloBuilder b(module_.AddEntryComputation("main"));
     Mesh mesh(8);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {128, 256}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     double out_bytes = 8.0 * 128 * 256 * 2;
     double expect = 7.0 * out_bytes / (8.0 * 2.0 * spec_.link_bandwidth) +
                     7.0 * spec_.link_latency;
@@ -53,8 +53,8 @@ TEST_F(CostModelTest, AllReduceIsTwiceReduceScatter)
     HloBuilder b(module_.AddEntryComputation("main"));
     Mesh mesh(8);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {128, 256}));
-    auto* rs = b.ReduceScatter(p, 0, mesh.Groups(0));
-    auto* ar = b.AllReduce(p, mesh.Groups(0));
+    auto* rs = b.ReduceScatter(p, 0, mesh.AxisGroups(0));
+    auto* ar = b.AllReduce(p, mesh.AxisGroups(0));
     double rs_t = cost_.BlockingCollectiveSeconds(rs);
     double ar_t = cost_.BlockingCollectiveSeconds(ar);
     EXPECT_NEAR(ar_t, 2.0 * rs_t, rs_t * 1e-6);
@@ -67,7 +67,7 @@ TEST_F(CostModelTest, DecomposedRingUsesHalfTheBandwidth)
     HloBuilder b(module_.AddEntryComputation("main"));
     Mesh mesh(8);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4096, 4096}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     double ag_t = cost_.BlockingCollectiveSeconds(ag);
     double ring_t =
         cost_.RingSequenceSeconds(p->shape().byte_size(), /*steps=*/7);
@@ -78,7 +78,7 @@ TEST_F(CostModelTest, PermuteStartIsFreeDoneCostsTransfer)
 {
     HloBuilder b(module_.AddEntryComputation("main"));
     auto* p = b.Parameter(0, Shape(DType::kBF16, {1024}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 1}, {1, 0}});
+    auto* start = b.CollectivePermuteStart(p, Mesh(2).RingShift(0, 1));
     auto* done = b.CollectivePermuteDone(start);
     EXPECT_DOUBLE_EQ(cost_.InstructionSeconds(start), 0.0);
     EXPECT_GT(cost_.InstructionSeconds(done), 0.0);
@@ -107,17 +107,9 @@ TEST_F(CostModelTest, AllToAllScalesWithSqrtGroup)
 {
     HloBuilder b(module_.AddEntryComputation("main"));
     Mesh mesh4(4);
-    Mesh mesh64(8, 8);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4096, 64}));
-    auto* a4 = b.AllToAll(p, 0, mesh4.Groups(0));
-    auto* a64 = b.AllToAll(p, 0, {{0,  1,  2,  3,  4,  5,  6,  7,
-                                   8,  9,  10, 11, 12, 13, 14, 15,
-                                   16, 17, 18, 19, 20, 21, 22, 23,
-                                   24, 25, 26, 27, 28, 29, 30, 31,
-                                   32, 33, 34, 35, 36, 37, 38, 39,
-                                   40, 41, 42, 43, 44, 45, 46, 47,
-                                   48, 49, 50, 51, 52, 53, 54, 55,
-                                   56, 57, 58, 59, 60, 61, 62, 63}});
+    auto* a4 = b.AllToAll(p, 0, mesh4.AxisGroups(0));
+    auto* a64 = b.AllToAll(p, 0, DeviceGroups{.size = 64, .stride = 1});
     double t4 = cost_.BlockingCollectiveSeconds(a4);
     double t64 = cost_.BlockingCollectiveSeconds(a64);
     // sqrt(64)/sqrt(4) = 4x for the same payload.

@@ -151,8 +151,8 @@ TEST(CandidateSelectionTest, PrefersTheMoreExpensiveCollective)
     // Activation shard: large. Weight shard: small.
     auto* act = b.Parameter(0, Shape(DType::kBF16, {2048, 8192}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {2048, 1024}));
-    auto* big_ag = b.AllGather(act, 0, mesh.Groups(0));   // 8192 rows
-    auto* small_ag = b.AllGather(w, 0, mesh.Groups(0));   // contracting
+    auto* big_ag = b.AllGather(act, 0, mesh.AxisGroups(0));   // 8192 rows
+    auto* small_ag = b.AllGather(w, 0, mesh.AxisGroups(0));   // contracting
     comp->set_root(b.Einsum(big_ag, small_ag, "bf,fh->bh"));
     CostModel cost{HardwareSpec{}};
     DecomposeOptions options;
@@ -179,7 +179,7 @@ TEST(DecomposeEdgeTest, SingleDeviceAxisLeftAlone)
     auto* p = b.Parameter(0, Shape(DType::kBF16, {8, 16}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {16, 8}));
     // Groups along the size-1 x axis: nothing to decompose.
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     CostModel cost{HardwareSpec{}};
     DecomposeOptions options;
@@ -201,7 +201,7 @@ TEST(DecomposeEdgeTest, OddShardExtentAtTwoPartitionsFallsBackToUni)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({3, 4}));  // odd shard extent
     auto* w = b.Parameter(1, Shape({4, 5}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     CostModel cost{HardwareSpec{}};
     DecomposeOptions options;

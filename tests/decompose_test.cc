@@ -87,7 +87,7 @@ BuildAllGatherScenario(const Mesh& mesh, int64_t axis, EinsumDimKind kind,
 
     auto* shard_param = b.Parameter(0, shard_shape, "gathered_shard");
     auto* other_param = b.Parameter(1, other_global, "other");
-    auto* ag = b.AllGather(shard_param, gathered_dim, mesh.Groups(axis));
+    auto* ag = b.AllGather(shard_param, gathered_dim, mesh.AxisGroups(axis));
     auto* einsum = gathered_side == 0 ? b.Einsum(ag, other_param, spec)
                                       : b.Einsum(other_param, ag, spec);
     comp->set_root(einsum);
@@ -137,7 +137,7 @@ BuildReduceScatterScenario(const Mesh& mesh, int64_t axis,
     auto* rhs = b.Parameter(1, rhs_sharding.ShardShape(rhs_global, mesh));
     auto* einsum = b.Einsum(lhs, rhs, "bf,fh->bh");
     int64_t rs_dim = sliced_side == 0 ? 0 : 1;
-    auto* rs = b.ReduceScatter(einsum, rs_dim, mesh.Groups(axis));
+    auto* rs = b.ReduceScatter(einsum, rs_dim, mesh.AxisGroups(axis));
     comp->set_root(rs);
 
     Tensor lhs_data = Tensor::Random(lhs_global, 33);
@@ -176,11 +176,11 @@ BuildAllToAllScenario(const Mesh& mesh, int64_t axis, bool dispatch,
     auto* tokens = b.Parameter(0, tokens_shape, "tokens");
     auto* w = b.Parameter(1, w_shape, "w_expert");
     if (dispatch) {
-        auto* a2a = b.AllToAll(tokens, 0, mesh.Groups(axis));
+        auto* a2a = b.AllToAll(tokens, 0, mesh.AxisGroups(axis));
         comp->set_root(b.Einsum(a2a, w, "td,dh->th"));
     } else {
         auto* einsum = b.Einsum(tokens, w, "td,dh->th");
-        comp->set_root(b.AllToAll(einsum, 0, mesh.Groups(axis)));
+        comp->set_root(b.AllToAll(einsum, 0, mesh.AxisGroups(axis)));
     }
 
     std::vector<Tensor> token_blocks;
@@ -507,24 +507,27 @@ TEST(BidirectionalEligibilityTest, OddExtentTwoWayFallsBack)
 // Targeted behaviour tests.
 // ---------------------------------------------------------------------------
 
-TEST(RingShiftPairsTest, LeftShiftMovesDataDown)
+TEST(RingShiftTest, LeftShiftMovesDataDown)
 {
-    Mesh mesh(4);
-    auto pairs = RingShiftPairs(mesh, 0, 1);
-    ASSERT_EQ(pairs.size(), 4u);
+    DeviceGroups ring = Mesh(4).RingShift(0, 1);
     // Data at position j lands at j-1: source j targets j-1 (mod 4).
-    EXPECT_EQ(pairs[0], (std::pair<int64_t, int64_t>{0, 3}));
-    EXPECT_EQ(pairs[1], (std::pair<int64_t, int64_t>{1, 0}));
+    EXPECT_EQ(ring.Target(0), 3);
+    EXPECT_EQ(ring.Target(1), 0);
+    EXPECT_EQ(ring.Target(3), 2);
 }
 
-TEST(RingShiftPairsTest, TorusSubgroupPairsStayInGroup)
+TEST(RingShiftTest, TorusSubgroupPeersStayInRing)
 {
     Mesh mesh(2, 4);
-    auto pairs = RingShiftPairs(mesh, 1, -1);
-    ASSERT_EQ(pairs.size(), 8u);
-    for (const auto& [src, dst] : pairs) {
-        EXPECT_EQ(src / 4, dst / 4) << "pair crossed its ring";
+    DeviceGroups ring = mesh.RingShift(1, -1);
+    std::vector<int64_t> received(8, 0);
+    for (int64_t src = 0; src < 8; ++src) {
+        int64_t dst = ring.Target(src);
+        EXPECT_EQ(src / 4, dst / 4) << "peer crossed its ring";
+        EXPECT_EQ(dst, mesh.RingNeighbor(src, 1, 1));
+        ++received[static_cast<size_t>(dst)];
     }
+    for (int64_t count : received) EXPECT_EQ(count, 1);
 }
 
 TEST(DecomposeTest, SkipsAllGatherWithMultipleUsers)
@@ -536,7 +539,7 @@ TEST(DecomposeTest, SkipsAllGatherWithMultipleUsers)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2, 4}));
     auto* w = b.Parameter(1, Shape({4, 5}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     auto* e = b.Einsum(ag, w, "bf,fh->bh");
     comp->set_root(b.Add(e, e));
     // Second user of the AllGather besides the einsum.
@@ -561,7 +564,7 @@ TEST(DecomposeTest, SkipsGroupsNotMatchingMeshAxis)
     auto* p = b.Parameter(0, Shape({1, 4}));
     auto* w = b.Parameter(1, Shape({4, 5}));
     // Groups spanning the whole mesh match no single axis.
-    auto* ag = b.AllGather(p, 0, {{0, 1, 2, 3}});
+    auto* ag = b.AllGather(p, 0, DeviceGroups{.size = 4, .stride = 1});
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     DecomposeOptions options;
     options.use_cost_model = false;
@@ -648,7 +651,7 @@ TEST(DecomposeTest, SkipsAllToAllWithIndivisibleChunks)
     auto* w = b.Parameter(1, Shape({4, 5}));
     InstrAttrs attrs;
     attrs.dim = 0;
-    attrs.groups = mesh.Groups(0);
+    attrs.groups = mesh.AxisGroups(0);
     HloInstruction* a2a = comp->AddInstruction(
         HloOpcode::kAllToAll, Shape({6, 4}), {tokens}, std::move(attrs));
     comp->set_root(b.Einsum(a2a, w, "td,dh->th"));
@@ -672,7 +675,7 @@ TEST(DecomposeTest, CostModelRejectsTinySites)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2, 4}));
     auto* w = b.Parameter(1, Shape({4, 4}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     DecomposeOptions options;  // gating on
     CostModel cost((HardwareSpec()));
@@ -694,7 +697,7 @@ TEST(DecomposeTest, CostModelAcceptsLargeSites)
     // fixed costs (combine traffic, prologue permute).
     auto* p = b.Parameter(0, Shape(DType::kBF16, {2048, 4096}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {4096, 8192}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     DecomposeOptions options;  // gating on
     CostModel cost((HardwareSpec()));
@@ -715,8 +718,8 @@ TEST(DecomposeTest, PicksOneCandidatePerEinsum)
     HloBuilder b(comp);
     auto* act = b.Parameter(0, Shape(DType::kBF16, {512, 4096}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {1024, 8192}));
-    auto* ag_act = b.AllGather(act, 0, mesh.Groups(0));
-    auto* ag_w = b.AllGather(w, 0, mesh.Groups(0));
+    auto* ag_act = b.AllGather(act, 0, mesh.AxisGroups(0));
+    auto* ag_w = b.AllGather(w, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag_act, ag_w, "bf,fh->bh"));
     DecomposeOptions options;
     options.use_cost_model = false;

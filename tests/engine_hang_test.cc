@@ -17,14 +17,11 @@
 namespace overlap {
 namespace {
 
-std::vector<std::pair<int64_t, int64_t>>
+/** Every device sends to its ring neighbour one position up. */
+DeviceGroups
 RingShift(const Mesh& mesh)
 {
-    std::vector<std::pair<int64_t, int64_t>> pairs;
-    for (int64_t d = 0; d < mesh.num_devices(); ++d) {
-        pairs.push_back({d, mesh.RingNeighbor(d, 0, 1)});
-    }
-    return pairs;
+    return mesh.RingShift(0, -1);
 }
 
 TEST(EngineHangTest, DoneScheduledBeforeItsStartIsDiagnosed)

@@ -38,7 +38,7 @@ TEST_F(EngineTest, BlockingCollectiveIsExposed)
     module.set_mesh(mesh);
     HloBuilder b(module.AddEntryComputation("main"));
     auto* p = b.Parameter(0, Shape(DType::kBF16, {1024, 1024}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     module.entry()->set_root(ag);
     PodSimulator sim(mesh, spec_);
     auto result = sim.Run(module);
@@ -60,7 +60,7 @@ TEST_F(EngineTest, AsyncTransferHiddenBehindLongCompute)
     auto* small = b.Parameter(0, Shape(DType::kBF16, {64, 64}));
     auto* a = b.Parameter(1, Shape(DType::kBF16, {2048, 2048}));
     auto* w = b.Parameter(2, Shape(DType::kBF16, {2048, 2048}));
-    auto* start = b.CollectivePermuteStart(small, {{0, 1}, {1, 0}});
+    auto* start = b.CollectivePermuteStart(small, mesh.RingShift(0, 1));
     auto* big = b.Einsum(a, w, "mk,kn->mn");
     auto* done = b.CollectivePermuteDone(start);
     auto* both = b.Einsum(done, small, "mk,kn->mn");
@@ -80,7 +80,7 @@ TEST_F(EngineTest, AsyncTransferExposedWithoutCompute)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4096, 4096}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 1}, {1, 0}});
+    auto* start = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));
     comp->set_root(b.CollectivePermuteDone(start));
     PodSimulator sim(mesh, spec_);
     auto result = sim.Run(module);
@@ -100,10 +100,8 @@ TEST_F(EngineTest, SameDirectionTransfersSerializeOnTheLink)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4096, 4096}));
-    auto pairs = std::vector<std::pair<int64_t, int64_t>>{
-        {0, 3}, {1, 0}, {2, 1}, {3, 2}};
-    auto* s1 = b.CollectivePermuteStart(p, pairs);
-    auto* s2 = b.CollectivePermuteStart(p, pairs);
+    auto* s1 = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));
+    auto* s2 = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));
     auto* d1 = b.CollectivePermuteDone(s1);
     auto* d2 = b.CollectivePermuteDone(s2);
     comp->set_root(b.Tuple({d1, d2}));
@@ -124,12 +122,8 @@ TEST_F(EngineTest, OppositeDirectionTransfersRunConcurrently)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4096, 4096}));
-    auto left = std::vector<std::pair<int64_t, int64_t>>{
-        {0, 3}, {1, 0}, {2, 1}, {3, 2}};
-    auto right = std::vector<std::pair<int64_t, int64_t>>{
-        {0, 1}, {1, 2}, {2, 3}, {3, 0}};
-    auto* s1 = b.CollectivePermuteStart(p, left);
-    auto* s2 = b.CollectivePermuteStart(p, right);
+    auto* s1 = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));   // left
+    auto* s2 = b.CollectivePermuteStart(p, mesh.RingShift(0, -1));  // right
     auto* d1 = b.CollectivePermuteDone(s1);
     auto* d2 = b.CollectivePermuteDone(s2);
     comp->set_root(b.Tuple({d1, d2}));
@@ -151,9 +145,7 @@ TEST_F(EngineTest, MultiHopPermuteChargesEachHop)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4096, 4096}));
     // Shift by 2: two ring hops.
-    std::vector<std::pair<int64_t, int64_t>> pairs;
-    for (int64_t j = 0; j < 8; ++j) pairs.emplace_back(j, (j + 6) % 8);
-    auto* start = b.CollectivePermuteStart(p, pairs);
+    auto* start = b.CollectivePermuteStart(p, mesh.RingShift(0, 2));
     comp->set_root(b.CollectivePermuteDone(start));
     PodSimulator sim(mesh, spec_);
     auto result = sim.Run(module);
@@ -172,7 +164,7 @@ TEST_F(EngineTest, TraceCoversTheTimeline)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* a = b.Parameter(0, Shape(DType::kBF16, {512, 512}));
-    auto* ag = b.AllGather(a, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(a, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, a, "mk,kn->mn"));
     PodSimulator sim(mesh, spec_);
     auto result = sim.Run(module, /*collect_trace=*/true);
@@ -250,10 +242,8 @@ TEST_F(EngineTest, AntipodalTransfersLoadBalanceAcrossDirections)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4096, 4096}));
-    auto pairs =
-        std::vector<std::pair<int64_t, int64_t>>{{0, 1}, {1, 0}};
-    auto* s1 = b.CollectivePermuteStart(p, pairs);
-    auto* s2 = b.CollectivePermuteStart(p, pairs);
+    auto* s1 = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));
+    auto* s2 = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));
     auto* d1 = b.CollectivePermuteDone(s1);
     auto* d2 = b.CollectivePermuteDone(s2);
     comp->set_root(b.Tuple({d1, d2}));
@@ -274,7 +264,7 @@ TEST_F(EngineTest, ChromeTraceExportIsWellFormed)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* a = b.Parameter(0, Shape(DType::kBF16, {512, 512}));
-    auto* ag = b.AllGather(a, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(a, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, a, "mk,kn->mn"));
     PodSimulator sim(mesh, spec_);
     auto result = sim.Run(module, /*collect_trace=*/true);

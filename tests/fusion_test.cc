@@ -29,7 +29,7 @@ BuildFigure11()
     HloBuilder b(comp);
     auto* a = b.Parameter(0, Shape(DType::kBF16, {64, 64}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {64, 64}));
-    auto* start = b.CollectivePermuteStart(a, {{0, 1}, {1, 0}});
+    auto* start = b.CollectivePermuteStart(a, Mesh(2).RingShift(0, 1));
     auto* done = b.CollectivePermuteDone(start);
     f.independent_einsum = b.Einsum(a, w, "mk,kn->mn");
     f.dependent_einsum = b.Einsum(done, w, "mk,kn->mn");
@@ -90,7 +90,7 @@ TEST(FusionTest, OverlapAwareLeavesDoneReadingCombinersUnfused)
     auto* acc = b.Parameter(0, Shape(DType::kBF16, {64, 64}));
     auto* a = b.Parameter(1, Shape(DType::kBF16, {64, 64}));
     auto* w = b.Parameter(2, Shape(DType::kBF16, {64, 64}));
-    auto* start = b.CollectivePermuteStart(acc, {{0, 1}, {1, 0}});
+    auto* start = b.CollectivePermuteStart(acc, Mesh(2).RingShift(0, 1));
     auto* done = b.CollectivePermuteDone(start);
     auto* partial = b.Einsum(a, w, "mk,kn->mn");
     auto* add = b.Add(done, partial);

@@ -122,7 +122,7 @@ TEST_P(PipelineFuzz, RandomScenarioStaysEquivalent)
         auto* p0 = b.Parameter(0, sharding.ShardShape(gathered, mesh));
         auto* p1 =
             b.Parameter(1, side == 0 ? rhs_global : lhs_global);
-        auto* ag = b.AllGather(p0, dim, mesh.Groups(0));
+        auto* ag = b.AllGather(p0, dim, mesh.AxisGroups(0));
         comp->set_root(side == 0 ? b.Einsum(ag, p1, spec_str)
                                  : b.Einsum(p1, ag, spec_str));
         params.push_back(ShardTensor(side == 0 ? lhs_data : rhs_data,
@@ -134,7 +134,7 @@ TEST_P(PipelineFuzz, RandomScenarioStaysEquivalent)
         auto* p1 = b.Parameter(1, rhs_global);
         auto* e = b.Einsum(p0, p1, spec_str);
         comp->set_root(b.ReduceScatter(e, spec->OutDimOf(label),
-                                       mesh.Groups(0)));
+                                       mesh.AxisGroups(0)));
         params.push_back({lhs_data});
         params.push_back({rhs_data});
     }
@@ -176,14 +176,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz, ::testing::Range(1, 61));
 // verifier catching every one of them.
 // ---------------------------------------------------------------------------
 
-std::vector<std::pair<int64_t, int64_t>>
-RingPairs(int64_t n)
-{
-    std::vector<std::pair<int64_t, int64_t>> pairs;
-    for (int64_t d = 0; d < n; ++d) pairs.push_back({d, (d + 1) % n});
-    return pairs;
-}
-
 /** A tiny valid module: parameter -> permute-start -> done (root). */
 std::unique_ptr<HloModule>
 BuildPermuteModule(HloInstruction** start_out = nullptr,
@@ -195,7 +187,7 @@ BuildPermuteModule(HloInstruction** start_out = nullptr,
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}));
-    auto* start = b.CollectivePermuteStart(p, RingPairs(4));
+    auto* start = b.CollectivePermuteStart(p, Mesh(4).RingShift(0, -1));
     auto* done = b.CollectivePermuteDone(start);
     comp->set_root(done);
     if (start_out != nullptr) *start_out = start;
@@ -210,7 +202,7 @@ TEST(VerifierFuzz, StartWithoutDoneIsRejected)
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}));
-    b.CollectivePermuteStart(p, RingPairs(4));
+    b.CollectivePermuteStart(p, Mesh(4).RingShift(0, -1));
     comp->set_root(p);
     Status status = VerifyModule(*module);
     EXPECT_FALSE(status.ok());
@@ -239,34 +231,41 @@ TEST(VerifierFuzz, StartConsumedByNonDoneIsRejected)
         << status.ToString();
 }
 
-TEST(VerifierFuzz, DuplicatePermuteSourcesAreRejected)
+// Explicit device lists could repeat a source or a target, or name a
+// device off the mesh. The descriptor cannot; its malformed forms are a
+// degenerate stride (every ring position the same device), an identity
+// shift (every device its own target) and groups that overrun the mesh.
+
+TEST(VerifierFuzz, ZeroStridePermuteIsRejected)
 {
     HloInstruction* start = nullptr;
     auto module = BuildPermuteModule(&start);
-    start->mutable_attrs().source_target_pairs = {{0, 1}, {0, 2}};
+    start->mutable_attrs().groups.stride = 0;
     Status status = VerifyModule(*module);
     EXPECT_FALSE(status.ok());
-    EXPECT_NE(status.message().find("duplicate permute source"),
-              std::string::npos)
+    EXPECT_NE(status.message().find("stride >= 1"), std::string::npos)
         << status.ToString();
 }
 
-TEST(VerifierFuzz, DuplicatePermuteTargetsAreRejected)
+TEST(VerifierFuzz, IdentityPermuteShiftIsRejected)
 {
     HloInstruction* start = nullptr;
     auto module = BuildPermuteModule(&start);
-    start->mutable_attrs().source_target_pairs = {{0, 1}, {2, 1}};
-    EXPECT_FALSE(VerifyModule(*module).ok());
-}
-
-TEST(VerifierFuzz, PermutePairOutOfMeshRangeIsRejected)
-{
-    HloInstruction* start = nullptr;
-    auto module = BuildPermuteModule(&start);
-    start->mutable_attrs().source_target_pairs = {{0, 99}};
+    start->mutable_attrs().groups.shift = 4;
     Status status = VerifyModule(*module);
     EXPECT_FALSE(status.ok());
-    EXPECT_NE(status.message().find("out of range"), std::string::npos)
+    EXPECT_NE(status.message().find("shift nothing"), std::string::npos)
+        << status.ToString();
+}
+
+TEST(VerifierFuzz, PermuteGroupsBeyondMeshAreRejected)
+{
+    HloInstruction* start = nullptr;
+    auto module = BuildPermuteModule(&start);
+    start->mutable_attrs().groups.stride = 2;  // members 0,2,4,6 of 4
+    Status status = VerifyModule(*module);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("do not tile"), std::string::npos)
         << status.ToString();
 }
 
@@ -342,7 +341,7 @@ BuildAllToAllPairModule(HloInstruction** start_out = nullptr,
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}));
-    auto* start = b.AllToAllStart(p, 0, mesh.Groups(0));
+    auto* start = b.AllToAllStart(p, 0, mesh.AxisGroups(0));
     start->mutable_attrs().channel_id = comp->NextChannelId();
     auto* done = b.AllToAllDone(start);
     comp->set_root(done);
@@ -358,7 +357,7 @@ TEST(VerifierFuzz, AllToAllStartWithoutDoneIsRejected)
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}));
-    b.AllToAllStart(p, 0, Mesh(4).Groups(0));
+    b.AllToAllStart(p, 0, Mesh(4).AxisGroups(0));
     comp->set_root(p);
     Status status = VerifyModule(*module);
     EXPECT_FALSE(status.ok());
@@ -441,7 +440,7 @@ TEST(VerifierFuzz, NonDivisibleAllToAllDimIsRejected)
     auto* p = b.Parameter(0, Shape({6, 8}));
     InstrAttrs attrs;
     attrs.dim = 0;
-    attrs.groups = mesh.Groups(0);
+    attrs.groups = mesh.AxisGroups(0);
     comp->set_root(comp->AddInstruction(HloOpcode::kAllToAll, Shape({6, 8}),
                                         {p}, std::move(attrs)));
     Status status = VerifyModule(*module);
@@ -460,7 +459,7 @@ TEST(VerifierFuzz, NonDivisibleAllToAllStartDimIsRejected)
     auto* p = b.Parameter(0, Shape({6, 8}));
     InstrAttrs attrs;
     attrs.dim = 0;
-    attrs.groups = mesh.Groups(0);
+    attrs.groups = mesh.AxisGroups(0);
     auto* start = comp->AddInstruction(HloOpcode::kAllToAllStart,
                                        Shape({6, 8}), {p},
                                        std::move(attrs));
@@ -482,7 +481,7 @@ TEST(VerifierFuzz, ChunkAttributeOnNonPermuteIsRejected)
     HloComputation* comp = module->AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({8, 8}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     ag->mutable_attrs().a2a_chunk = 1;
     comp->set_root(ag);
     Status status = VerifyModule(*module);
@@ -509,12 +508,12 @@ TEST_P(VerifierCorruptionFuzz, CorruptedModuleNeverCrashesVerifier)
 
     switch (rng.Next() % 5) {
       case 0:
-          start->mutable_attrs().source_target_pairs = {
-              {0, 1}, {0, static_cast<int64_t>(rng.Next() % 4)}};
+          start->mutable_attrs().groups.shift =
+              4 * static_cast<int64_t>(rng.Next() % 8);
           break;
       case 1:
-          start->mutable_attrs().source_target_pairs = {
-              {static_cast<int64_t>(rng.Next() % 1000) + 4, 0}};
+          start->mutable_attrs().groups.stride =
+              static_cast<int64_t>(rng.Next() % 1000) + 2;
           break;
       case 2: {
           std::vector<HloInstruction*> sched = comp->instructions();
@@ -528,7 +527,7 @@ TEST_P(VerifierCorruptionFuzz, CorruptedModuleNeverCrashesVerifier)
           break;
       }
       default:
-          done->mutable_attrs().source_target_pairs = {{0, 1}, {1, 0}};
+          done->mutable_attrs().groups = Mesh(4).RingShift(0, 1);
           comp->set_root(comp->AddInstruction(
               HloOpcode::kNegate, Shape({2, 2}), {done}));
           break;

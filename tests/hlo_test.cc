@@ -26,11 +26,11 @@ TEST(BuilderTest, CollectiveShapes)
     HloBuilder b(module.AddEntryComputation("main"));
     auto* p = b.Parameter(0, Shape({2, 8}));
     Mesh mesh(4);
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     EXPECT_EQ(ag->shape().dims(), (std::vector<int64_t>{8, 8}));
-    auto* rs = b.ReduceScatter(ag, 1, mesh.Groups(0));
+    auto* rs = b.ReduceScatter(ag, 1, mesh.AxisGroups(0));
     EXPECT_EQ(rs->shape().dims(), (std::vector<int64_t>{8, 2}));
-    auto* ar = b.AllReduce(rs, mesh.Groups(0));
+    auto* ar = b.AllReduce(rs, mesh.AxisGroups(0));
     EXPECT_EQ(ar->shape().dims(), rs->shape().dims());
     module.entry()->set_root(ar);
     EXPECT_TRUE(VerifyModule(module).ok());
@@ -128,7 +128,7 @@ TEST(VerifierTest, CatchesBadSchedule)
     EXPECT_TRUE(VerifyComputation(*comp).ok());
 }
 
-TEST(VerifierTest, CatchesRaggedCollectiveGroups)
+TEST(VerifierTest, CatchesGroupsThatDoNotTileTheMesh)
 {
     HloModule module("m");
     module.set_mesh(Mesh(4));
@@ -136,14 +136,19 @@ TEST(VerifierTest, CatchesRaggedCollectiveGroups)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2}));
     InstrAttrs attrs;
-    attrs.dim = 0;
-    attrs.groups = {{0, 1, 2}, {3}};
-    comp->AddInstruction(HloOpcode::kAllReduce, p->shape(), {p},
-                         std::move(attrs));
-    EXPECT_FALSE(VerifyModule(module).ok());
+    attrs.groups = DeviceGroups{.size = 3, .stride = 1};
+    HloInstruction* ar = comp->AddInstruction(
+        HloOpcode::kAllReduce, p->shape(), {p}, std::move(attrs));
+    comp->set_root(ar);
+    Status status = VerifyModule(module);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("do not tile"), std::string::npos)
+        << status.ToString();
+    ar->mutable_attrs().groups = Mesh(4).AxisGroups(0);
+    EXPECT_TRUE(VerifyModule(module).ok());
 }
 
-TEST(VerifierTest, CatchesDuplicatePermuteSource)
+TEST(VerifierTest, CatchesIdentityPermuteShift)
 {
     HloModule module("m");
     module.set_mesh(Mesh(4));
@@ -151,9 +156,50 @@ TEST(VerifierTest, CatchesDuplicatePermuteSource)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2}));
     InstrAttrs attrs;
-    attrs.source_target_pairs = {{0, 1}, {0, 2}};
-    comp->AddInstruction(HloOpcode::kCollectivePermute, p->shape(), {p},
-                         std::move(attrs));
+    attrs.groups = DeviceGroups{.size = 4, .stride = 1, .shift = -4};
+    HloInstruction* permute = comp->AddInstruction(
+        HloOpcode::kCollectivePermute, p->shape(), {p}, std::move(attrs));
+    comp->set_root(permute);
+    Status status = VerifyModule(module);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("shift nothing"), std::string::npos)
+        << status.ToString();
+    permute->mutable_attrs().groups.shift = -3;
+    EXPECT_TRUE(VerifyModule(module).ok());
+}
+
+TEST(VerifierTest, CatchesAxisIndexOutOfMeshRange)
+{
+    HloModule module("m");
+    module.set_mesh(Mesh(4));
+    HloComputation* comp = module.AddEntryComputation("main");
+    HloBuilder b(comp);
+    HloInstruction* index = b.AxisIndex(7);
+    comp->set_root(index);
+    Status status = VerifyModule(module);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("axis-index axis 7 out of range"),
+              std::string::npos)
+        << status.ToString();
+    index->mutable_attrs().mesh_axis = 0;
+    EXPECT_TRUE(VerifyModule(module).ok());
+    // Without a mesh only a negative axis is known to be wrong.
+    index->mutable_attrs().mesh_axis = 7;
+    EXPECT_TRUE(VerifyComputation(*comp).ok());
+    index->mutable_attrs().mesh_axis = -1;
+    EXPECT_FALSE(VerifyComputation(*comp).ok());
+}
+
+TEST(VerifierTest, CatchesGroupsOnNonCollective)
+{
+    HloModule module("m");
+    HloComputation* comp = module.AddEntryComputation("main");
+    HloBuilder b(comp);
+    auto* p = b.Parameter(0, Shape({2}));
+    HloInstruction* neg = b.Negate(p);
+    comp->set_root(neg);
+    EXPECT_TRUE(VerifyModule(module).ok());
+    neg->mutable_attrs().groups = Mesh(2).AxisGroups(0);
     EXPECT_FALSE(VerifyModule(module).ok());
 }
 
@@ -164,7 +210,7 @@ TEST(VerifierTest, StartNeedsExactlyOneDone)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 1}, {1, 0}});
+    auto* start = b.CollectivePermuteStart(p, Mesh(2).RingShift(0, 1));
     comp->set_root(start);
     EXPECT_FALSE(VerifyModule(module).ok());
     auto* done = b.CollectivePermuteDone(start);

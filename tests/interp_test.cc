@@ -48,7 +48,7 @@ TEST(EvaluatorTest, AllGatherConcatenatesInGroupOrder)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({1, 2}));
-    comp->set_root(b.AllGather(p, 0, mesh.Groups(0)));
+    comp->set_root(b.AllGather(p, 0, mesh.AxisGroups(0)));
     SpmdEvaluator eval(mesh);
     std::vector<Tensor> shards;
     for (int64_t d = 0; d < 4; ++d) {
@@ -73,7 +73,7 @@ TEST(EvaluatorTest, ReduceScatterSumsAndSlices)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({4}));
-    comp->set_root(b.ReduceScatter(p, 0, mesh.Groups(0)));
+    comp->set_root(b.ReduceScatter(p, 0, mesh.AxisGroups(0)));
     SpmdEvaluator eval(mesh);
     std::vector<Tensor> inputs = {
         Tensor(Shape({4}), {1, 2, 3, 4}),
@@ -94,7 +94,7 @@ TEST(EvaluatorTest, AllReduceSubgroups)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({1}));
-    comp->set_root(b.AllReduce(p, mesh.Groups(1)));  // rows {0,1},{2,3}
+    comp->set_root(b.AllReduce(p, mesh.AxisGroups(1)));  // rows {0,1},{2,3}
     SpmdEvaluator eval(mesh);
     std::vector<Tensor> inputs;
     for (int64_t d = 0; d < 4; ++d) {
@@ -115,7 +115,7 @@ TEST(EvaluatorTest, AllToAllTransposesShards)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2}));
-    comp->set_root(b.AllToAll(p, 0, mesh.Groups(0)));
+    comp->set_root(b.AllToAll(p, 0, mesh.AxisGroups(0)));
     SpmdEvaluator eval(mesh);
     std::vector<Tensor> inputs = {Tensor(Shape({2}), {1, 2}),
                                   Tensor(Shape({2}), {3, 4})};
@@ -127,24 +127,45 @@ TEST(EvaluatorTest, AllToAllTransposesShards)
     EXPECT_FLOAT_EQ((*result)[1].at({1}), 4.0f);
 }
 
-TEST(EvaluatorTest, CollectivePermuteMovesAndZeroFills)
+TEST(EvaluatorTest, CollectivePermuteShiftsAroundTheRing)
 {
     Mesh mesh(3);
     HloModule module("m");
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({1}));
-    // 0 -> 1, 1 -> 2; device 0 receives nothing.
-    comp->set_root(b.CollectivePermute(p, {{0, 1}, {1, 2}}));
+    // Data moves one position up: 0 -> 1, 1 -> 2, 2 -> 0.
+    comp->set_root(b.CollectivePermute(p, mesh.RingShift(0, -1)));
     SpmdEvaluator eval(mesh);
     std::vector<Tensor> inputs = {Tensor(Shape({1}), {5}),
                                   Tensor(Shape({1}), {6}),
                                   Tensor(Shape({1}), {7})};
     auto result = eval.Evaluate(*comp, {inputs});
     ASSERT_TRUE(result.ok());
-    EXPECT_FLOAT_EQ((*result)[0].at({0}), 0.0f);
+    EXPECT_FLOAT_EQ((*result)[0].at({0}), 7.0f);
     EXPECT_FLOAT_EQ((*result)[1].at({0}), 5.0f);
     EXPECT_FLOAT_EQ((*result)[2].at({0}), 6.0f);
+}
+
+TEST(EvaluatorTest, CollectivePermuteStaysInStridedRings)
+{
+    // Axis 0 of a [2,2] torus: rings {0,2} and {1,3}.
+    Mesh mesh(2, 2);
+    HloModule module("m");
+    HloComputation* comp = module.AddEntryComputation("main");
+    HloBuilder b(comp);
+    auto* p = b.Parameter(0, Shape({1}));
+    comp->set_root(b.CollectivePermute(p, mesh.RingShift(0, 1)));
+    SpmdEvaluator eval(mesh);
+    std::vector<Tensor> inputs = {
+        Tensor(Shape({1}), {10}), Tensor(Shape({1}), {11}),
+        Tensor(Shape({1}), {12}), Tensor(Shape({1}), {13})};
+    auto result = eval.Evaluate(*comp, {inputs});
+    ASSERT_TRUE(result.ok());
+    EXPECT_FLOAT_EQ((*result)[0].at({0}), 12.0f);
+    EXPECT_FLOAT_EQ((*result)[1].at({0}), 13.0f);
+    EXPECT_FLOAT_EQ((*result)[2].at({0}), 10.0f);
+    EXPECT_FLOAT_EQ((*result)[3].at({0}), 11.0f);
 }
 
 TEST(EvaluatorTest, AsyncPermutePairBehavesLikeSync)
@@ -154,7 +175,7 @@ TEST(EvaluatorTest, AsyncPermutePairBehavesLikeSync)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({1}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 1}, {1, 0}});
+    auto* start = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));
     comp->set_root(b.CollectivePermuteDone(start));
     SpmdEvaluator eval(mesh);
     std::vector<Tensor> inputs = {Tensor(Shape({1}), {5}),
@@ -165,66 +186,68 @@ TEST(EvaluatorTest, AsyncPermutePairBehavesLikeSync)
     EXPECT_FLOAT_EQ((*result)[1].at({0}), 5.0f);
 }
 
-TEST(EvaluatorTest, CollectivePermuteRejectsDuplicateTarget)
+/** A three-device module whose only op permutes over `ring`. */
+StatusOr<std::vector<Tensor>>
+EvaluatePermute(DeviceGroups ring, bool async)
 {
     Mesh mesh(3);
     HloModule module("m");
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({1}));
-    // Two sources feeding device 2: order-dependent, must be rejected.
-    comp->set_root(b.CollectivePermute(p, {{0, 2}, {1, 2}}));
+    comp->set_root(async ? b.CollectivePermuteDone(
+                               b.CollectivePermuteStart(p, ring))
+                         : b.CollectivePermute(p, ring));
     SpmdEvaluator eval(mesh);
     std::vector<Tensor> inputs(3, Tensor(Shape({1}), {1}));
-    auto result = eval.Evaluate(*comp, {inputs});
-    ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.status().message().find("duplicate target"),
-              std::string::npos);
+    return eval.Evaluate(*comp, {inputs});
 }
 
-TEST(EvaluatorTest, CollectivePermuteRejectsDuplicateSource)
+TEST(EvaluatorTest, CollectivePermuteRejectsIdentityShift)
 {
-    Mesh mesh(3);
-    HloModule module("m");
-    HloComputation* comp = module.AddEntryComputation("main");
-    HloBuilder b(comp);
-    auto* p = b.Parameter(0, Shape({1}));
-    comp->set_root(b.CollectivePermute(p, {{0, 1}, {0, 2}}));
-    SpmdEvaluator eval(mesh);
-    std::vector<Tensor> inputs(3, Tensor(Shape({1}), {1}));
-    auto result = eval.Evaluate(*comp, {inputs});
+    // Every device its own target: the descriptor's form of a permute
+    // whose sources and targets collide.
+    auto result =
+        EvaluatePermute(DeviceGroups{.size = 3, .stride = 1, .shift = 3},
+                        /*async=*/false);
     ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.status().message().find("duplicate source"),
-              std::string::npos);
+    EXPECT_NE(result.status().message().find("shift nothing"),
+              std::string::npos)
+        << result.status().ToString();
 }
 
-TEST(EvaluatorTest, CollectivePermuteRejectsOutOfRangeDevice)
+TEST(EvaluatorTest, CollectivePermuteRejectsZeroStride)
 {
-    Mesh mesh(2);
-    HloModule module("m");
-    HloComputation* comp = module.AddEntryComputation("main");
-    HloBuilder b(comp);
-    auto* p = b.Parameter(0, Shape({1}));
-    comp->set_root(b.CollectivePermute(p, {{0, 5}}));
-    SpmdEvaluator eval(mesh);
-    std::vector<Tensor> inputs(2, Tensor(Shape({1}), {1}));
-    EXPECT_FALSE(eval.Evaluate(*comp, {inputs}).ok());
+    auto result =
+        EvaluatePermute(DeviceGroups{.size = 3, .stride = 0, .shift = 1},
+                        /*async=*/false);
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.status().message().find("stride >= 1"),
+              std::string::npos)
+        << result.status().ToString();
 }
 
-TEST(EvaluatorTest, AsyncStartValidatesPairsLikeSyncOp)
+TEST(EvaluatorTest, CollectivePermuteRejectsGroupsBeyondMesh)
+{
+    auto result =
+        EvaluatePermute(DeviceGroups{.size = 3, .stride = 2, .shift = 1},
+                        /*async=*/false);
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.status().message().find("do not tile"),
+              std::string::npos)
+        << result.status().ToString();
+}
+
+TEST(EvaluatorTest, AsyncStartValidatesGroupsLikeSyncOp)
 {
     // Start/Done must behave identically to the sync op, including the
-    // rejection of duplicate targets.
-    Mesh mesh(3);
-    HloModule module("m");
-    HloComputation* comp = module.AddEntryComputation("main");
-    HloBuilder b(comp);
-    auto* p = b.Parameter(0, Shape({1}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 2}, {1, 2}});
-    comp->set_root(b.CollectivePermuteDone(start));
-    SpmdEvaluator eval(mesh);
-    std::vector<Tensor> inputs(3, Tensor(Shape({1}), {1}));
-    EXPECT_FALSE(eval.Evaluate(*comp, {inputs}).ok());
+    // rejection of an identity shift.
+    EXPECT_FALSE(
+        EvaluatePermute(DeviceGroups{.size = 3, .stride = 1, .shift = 6},
+                        /*async=*/true)
+            .ok());
+    EXPECT_TRUE(EvaluatePermute(Mesh(3).RingShift(0, 1), /*async=*/true)
+                    .ok());
 }
 
 TEST(EvaluatorTest, EvaluateBatchSharesParams)
@@ -326,7 +349,7 @@ TEST(EvaluatorTest, MissingParameterReported)
     HloComputation* reduce = reduce_module.AddEntryComputation("main");
     HloBuilder rb(reduce);
     auto* p = rb.Parameter(0, Shape({4}));
-    reduce->set_root(rb.AllReduce(p, mesh.Groups(0)));
+    reduce->set_root(rb.AllReduce(p, mesh.AxisGroups(0)));
     std::vector<std::vector<Tensor>> params(1);
     params[0] = {Tensor(Shape({4}), {1, 2, 3, 4}),
                  Tensor(Shape({4}), {5, 6, 7, 8}),

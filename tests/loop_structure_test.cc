@@ -36,19 +36,11 @@ CountLoop(const HloComputation& comp, const Mesh& mesh)
               break;
           case HloOpcode::kCollectivePermute: {
               ++c.permutes;
-              auto [src, dst] = instr->attrs().source_target_pairs[0];
-              int64_t axis = 0;
-              for (; axis < mesh.num_axes(); ++axis) {
-                  if (mesh.Coords(src)[static_cast<size_t>(axis)] !=
-                      mesh.Coords(dst)[static_cast<size_t>(axis)]) {
-                      break;
-                  }
-              }
-              int64_t n = mesh.axis_size(axis);
-              int64_t delta =
-                  (mesh.Coords(dst)[static_cast<size_t>(axis)] -
-                       mesh.Coords(src)[static_cast<size_t>(axis)] + n) %
-                  n;
+              const DeviceGroups& ring = instr->attrs().groups;
+              EXPECT_GE(mesh.AxisOf(ring), 0);
+              int64_t n = ring.size;
+              // Ring positions the data moves up.
+              int64_t delta = ((-ring.shift) % n + n) % n;
               if (delta > n / 2 || (n == 2 && delta == 1)) {
                   // toward lower position (left) for long way around;
                   // n == 2 counted as left for determinism.
@@ -77,7 +69,7 @@ DecomposeAllGather(int64_t n, bool unroll, bool bidi)
     auto* w = b.Parameter(1, Shape(DType::kBF16, {16, 8}));
     // Shard along the non-contracting dim (Case 1).
     auto* shard = b.Slice(p, {0, 0}, {2, 16});
-    auto* ag = b.AllGather(shard, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(shard, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     CostModel cost{HardwareSpec{}};
     DecomposeOptions options;
@@ -102,7 +94,7 @@ DecomposeReduceScatter(int64_t n, bool unroll, bool bidi)
     auto* a = b.Parameter(0, Shape(DType::kBF16, {4 * n, 16}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {16, 8}));
     auto* e = b.Einsum(a, w, "bf,fh->bh");
-    comp->set_root(b.ReduceScatter(e, 0, mesh.Groups(0)));
+    comp->set_root(b.ReduceScatter(e, 0, mesh.AxisGroups(0)));
     CostModel cost{HardwareSpec{}};
     DecomposeOptions options;
     options.use_cost_model = false;

@@ -39,7 +39,7 @@ TEST(ParallelEvalTest, EvaluateBatchOnPoolMatchesSerial)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2, 2}));
-    comp->set_root(b.AllGather(p, 0, mesh.Groups(0)));
+    comp->set_root(b.AllGather(p, 0, mesh.AxisGroups(0)));
 
     std::vector<std::vector<Tensor>> params(1);
     params[0] = {Tensor::Random(Shape({2, 2}), 1),

@@ -30,7 +30,7 @@ module tiny mesh[4]
 computation main {
   %x = f32[2,4] parameter(), index=0
   %w = f32[4,8] parameter(), index=1
-  %g = f32[8,4] all-gather(%x), dim=0, groups={0,1,2,3}
+  %g = f32[8,4] all-gather(%x), dim=0, groups={size=4,stride=1}
   ROOT %y = f32[8,8] einsum(%g, %w), spec=bf,fh->bh
 }
 )";
@@ -43,6 +43,8 @@ computation main {
     EXPECT_EQ(comp->instruction_count(), 4);
     EXPECT_EQ(comp->root()->opcode(), HloOpcode::kEinsum);
     EXPECT_EQ(comp->root()->attrs().einsum_spec, "bf,fh->bh");
+    EXPECT_EQ(comp->root()->operand(0)->attrs().groups,
+              Mesh(4).AxisGroups(0));
 }
 
 TEST(ParserTest, RoundTripsBuilderModule)
@@ -53,9 +55,9 @@ TEST(ParserTest, RoundTripsBuilderModule)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {4, 8}), "acts");
     auto* w = b.Parameter(1, Shape(DType::kBF16, {8, 4}));
-    auto* ag = b.AllGather(p, 0, Mesh(2, 2).Groups(1));
+    auto* ag = b.AllGather(p, 0, Mesh(2, 2).AxisGroups(1));
     auto* e = b.Einsum(ag, w, "bf,fh->bh");
-    auto* rs = b.ReduceScatter(e, 1, Mesh(2, 2).Groups(0));
+    auto* rs = b.ReduceScatter(e, 1, Mesh(2, 2).AxisGroups(0));
     auto* idx = b.Multiply(b.AxisIndex(0), b.ConstantIndex(2));
     auto* sliced = b.DynamicSliceOnDim(rs, 0, idx, 2);
     comp->set_root(b.Pad(sliced, {1, 0}, {0, 1}, -1.5f));
@@ -104,7 +106,7 @@ TEST(ParserTest, RoundTripsDecomposedLoop)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {8, 16}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {16, 8}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     CostModel cost{HardwareSpec{}};
     DecomposeOptions options;
@@ -132,7 +134,7 @@ TEST(ParserTest, RoundTripsDecomposedAllToAllLoop)
     HloBuilder b(comp);
     auto* tokens = b.Parameter(0, Shape(DType::kBF16, {8, 16}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {16, 8}));
-    auto* a2a = b.AllToAll(tokens, 0, mesh.Groups(0));
+    auto* a2a = b.AllToAll(tokens, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(a2a, w, "td,dh->th"));
     CostModel cost{HardwareSpec{}};
     DecomposeOptions options;
@@ -161,7 +163,7 @@ TEST(ParserTest, RoundTripsAsyncAllToAllPair)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {8, 16}));
-    auto* start = b.AllToAllStart(p, 0, mesh.Groups(0));
+    auto* start = b.AllToAllStart(p, 0, mesh.AxisGroups(0));
     start->mutable_attrs().channel_id = comp->NextChannelId();
     auto* done = b.AllToAllDone(start);
     comp->set_root(done);
@@ -184,11 +186,11 @@ TEST(ParserTest, RoundTripsChannelIds)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2, 4}));
-    auto* start = b.CollectivePermuteStart(p, RingShiftPairs(mesh, 0, 1));
+    auto* start = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));
     auto* done = b.CollectivePermuteDone(start);
     start->mutable_attrs().channel_id = 7;
     done->mutable_attrs().channel_id = 7;
-    auto* ag = b.AllGather(done, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(done, 0, mesh.AxisGroups(0));
     ag->mutable_attrs().channel_id = 8;
     comp->set_root(ag);
 
@@ -208,7 +210,7 @@ TEST(ParserTest, VerifierRejectsMismatchedStartDoneChannels)
     HloComputation* comp = module.AddEntryComputation("main");
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape({2}));
-    auto* start = b.CollectivePermuteStart(p, {{0, 1}, {1, 0}});
+    auto* start = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));
     auto* done = b.CollectivePermuteDone(start);
     start->mutable_attrs().channel_id = 3;
     done->mutable_attrs().channel_id = 4;
@@ -221,13 +223,15 @@ TEST(ParserTest, VerifierRejectsMismatchedStartDoneChannels)
 TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
 {
     // Randomized modules exercising every attribute the difftest repro
-    // files can emit — replica groups, source-target pairs, channel
-    // ids, dims — must print/parse/print to the identical text.
+    // files can emit — group descriptors along either mesh axis, ring
+    // shifts of either sign, channel ids, dims — must print/parse/print
+    // to the identical text.
     std::mt19937_64 rng(2024);
     for (int trial = 0; trial < 50; ++trial) {
         int64_t n = 2 + static_cast<int64_t>(rng() % 4);  // ring 2-5
         Mesh mesh = rng() % 2 == 0 ? Mesh(n) : Mesh(2, n);
-        int64_t axis = mesh.num_axes() - 1;
+        // The all-to-all cases need the size-n axis; the rest roam.
+        const int64_t last = mesh.num_axes() - 1;
         HloModule module("fuzz");
         module.set_mesh(mesh);
         HloComputation* comp = module.AddEntryComputation("main");
@@ -236,21 +240,26 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
         HloInstruction* value = p;
         int64_t ops = 1 + static_cast<int64_t>(rng() % 4);
         for (int64_t i = 0; i < ops; ++i) {
-            switch (rng() % 8) {
+            const int64_t axis =
+                static_cast<int64_t>(rng() % static_cast<uint64_t>(
+                                                  mesh.num_axes()));
+            const int64_t size = mesh.axis_size(axis);
+            switch (rng() % 9) {
               case 0: {
-                  auto* ag = b.AllGather(value, 0, mesh.Groups(axis));
+                  auto* ag = b.AllGather(value, 0, mesh.AxisGroups(axis));
                   if (rng() % 2 == 0) {
                       ag->mutable_attrs().channel_id =
                           static_cast<int64_t>(rng() % 100);
                   }
                   // Keep shapes stable: scatter straight back.
-                  value = b.ReduceScatter(ag, 0, mesh.Groups(axis));
+                  value = b.ReduceScatter(ag, 0, mesh.AxisGroups(axis));
                   break;
               }
               case 1: {
-                  int64_t step = 1 + static_cast<int64_t>(rng() % (n - 1));
+                  int64_t step =
+                      1 + static_cast<int64_t>(rng() % (size - 1));
                   value = b.CollectivePermute(
-                      value, RingShiftPairs(mesh, axis, step));
+                      value, mesh.RingShift(axis, step));
                   if (rng() % 2 == 0) {
                       value->mutable_attrs().channel_id =
                           static_cast<int64_t>(rng() % 100);
@@ -258,9 +267,10 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
                   break;
               }
               case 2: {
-                  int64_t step = 1 + static_cast<int64_t>(rng() % (n - 1));
+                  int64_t step =
+                      1 + static_cast<int64_t>(rng() % (size - 1));
                   auto* start = b.CollectivePermuteStart(
-                      value, RingShiftPairs(mesh, axis, step));
+                      value, mesh.RingShift(axis, step));
                   auto* done = b.CollectivePermuteDone(start);
                   int64_t channel = static_cast<int64_t>(rng() % 100);
                   start->mutable_attrs().channel_id = channel;
@@ -269,7 +279,7 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
                   break;
               }
               case 3: {
-                  auto* ar = b.AllReduce(value, mesh.Groups(axis));
+                  auto* ar = b.AllReduce(value, mesh.AxisGroups(axis));
                   if (rng() % 2 == 0) {
                       ar->mutable_attrs().channel_id =
                           static_cast<int64_t>(rng() % 100);
@@ -280,7 +290,7 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
               case 4: {
                   // Blocking MoE exchange (§18); dim 1 has extent n, so
                   // the per-peer chunks always split evenly.
-                  auto* a2a = b.AllToAll(value, 1, mesh.Groups(axis));
+                  auto* a2a = b.AllToAll(value, 1, mesh.AxisGroups(last));
                   if (rng() % 2 == 0) {
                       a2a->mutable_attrs().channel_id =
                           static_cast<int64_t>(rng() % 100);
@@ -290,7 +300,7 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
               }
               case 5: {
                   auto* start = b.AllToAllStart(value, 1,
-                                                mesh.Groups(axis));
+                                                mesh.AxisGroups(last));
                   auto* done = b.AllToAllDone(start);
                   int64_t channel = static_cast<int64_t>(rng() % 100);
                   start->mutable_attrs().channel_id = channel;
@@ -303,10 +313,29 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
                   // with the peer offset it serves.
                   int64_t k = 1 + static_cast<int64_t>(rng() % (n - 1));
                   value = b.CollectivePermute(
-                      value, RingShiftPairs(mesh, axis, k));
+                      value, mesh.RingShift(last, k));
                   value->mutable_attrs().a2a_chunk = k;
                   break;
               }
+              case 7: {
+                  // A hand-set shift outside [1, size): negative or
+                  // beyond one lap, as text may carry it.
+                  DeviceGroups ring = mesh.AxisGroups(axis);
+                  ring.shift = (rng() % 2 == 0 ? -1 : 1) *
+                               (1 + static_cast<int64_t>(
+                                        rng() % static_cast<uint64_t>(
+                                                    3 * size)));
+                  if (ring.shift % size == 0) ring.shift += 1;
+                  value = b.CollectivePermute(value, ring);
+                  break;
+              }
+              case 8:
+                  // Whole-mesh groups: a valid descriptor along no
+                  // single axis of a 2-D mesh.
+                  value = b.AllReduce(
+                      value, DeviceGroups{.size = mesh.num_devices(),
+                                          .stride = 1});
+                  break;
               default:
                   value = b.Negate(value);
                   break;
@@ -341,6 +370,74 @@ TEST(ParserTest, RejectsMalformedInput)
                                 "  %a = f32[2] parameter(), index=0\n"
                                 "  ROOT %b = f32[3] negate(%a)\n}\n")
                      .ok());
+}
+
+/** Parses a mesh[4] module around one instruction line. */
+Status
+ParseOneInstruction(const std::string& line)
+{
+    return ParseHloModule("module m mesh[4]\ncomputation c {\n"
+                          "  %x = f32[8,4] parameter(), index=0\n  " +
+                          line + "\n}\n")
+        .status();
+}
+
+TEST(ParserTest, RejectsMalformedIntegers)
+{
+    // Each of these used to parse a prefix ("2x" as 2, "abc" as 0) and
+    // then pass the verifier.
+    EXPECT_TRUE(ParseOneInstruction("ROOT %g = f32[8,4] all-gather(%x), "
+                                    "dim=0, groups={size=1,stride=1}")
+                    .ok());
+    EXPECT_FALSE(ParseOneInstruction("ROOT %g = f32[8,4] all-gather(%x), "
+                                     "dim=abc, groups={size=1,stride=1}")
+                     .ok());
+    EXPECT_FALSE(ParseOneInstruction("ROOT %g = f32[8,4] all-gather(%x), "
+                                     "dim=0, groups={size=2x,stride=1}")
+                     .ok());
+    EXPECT_FALSE(ParseOneInstruction("ROOT %g = f32[8,4] all-gather(%x), "
+                                     "dim=0, groups={size=1,stride=}")
+                     .ok());
+    EXPECT_FALSE(ParseOneInstruction("ROOT %p = f32[2] parameter(), "
+                                     "index=0junk")
+                     .ok());
+    EXPECT_FALSE(ParseOneInstruction("ROOT %s = f32[2,4] slice(%x), "
+                                     "starts={0,0}, sizes={2x,4}")
+                     .ok());
+    EXPECT_FALSE(ParseOneInstruction("ROOT %n = f32[8,4x] negate(%x)")
+                     .ok());
+    EXPECT_FALSE(ParseHloModule("module m mesh[4x]\ncomputation c {\n"
+                                "  ROOT %x = f32[2] parameter(), "
+                                "index=0\n}\n")
+                     .ok());
+}
+
+TEST(ParserTest, RejectsMalformedGroupDescriptors)
+{
+    const std::string ag = "ROOT %g = f32[16,4] all-gather(%x), dim=0, ";
+    const std::string cp = "ROOT %p = f32[8,4] collective-permute(%x), ";
+    EXPECT_TRUE(ParseOneInstruction(ag + "groups={size=2,stride=2}").ok());
+    EXPECT_TRUE(
+        ParseOneInstruction(cp + "groups={size=4,stride=1,shift=-1}").ok());
+    // Every malformed descriptor is a Status, never an abort.
+    for (const std::string& bad : {
+             ag + "groups={size=0,stride=1}",
+             ag + "groups={size=2,stride=0}",
+             ag + "groups={size=2,stride=-2}",
+             ag + "groups={size=2,stride=3}",          // 6 does not divide 4
+             ag + "groups={size=2,stride=1,shift=1}",  // shift off a permute
+             ag + "groups={size=2,stride=1,ring=1}",   // unknown field
+             ag + "groups={0,1,2,3}",                  // explicit devices
+             ag + "groups={size=2,stride=1}{size=2,stride=1}",
+             cp + "groups={size=4,stride=1}",           // no shift
+             cp + "groups={size=4,stride=1,shift=8}",   // identity shift
+             cp + "groups={size=8,stride=1,shift=1}",   // beyond the mesh
+             cp + "pairs={0,1}{1,2}{2,3}{3,0}",         // explicit pairs
+         }) {
+        Status status;
+        EXPECT_NO_THROW(status = ParseOneInstruction(bad));
+        EXPECT_FALSE(status.ok()) << bad;
+    }
 }
 
 }  // namespace

@@ -261,6 +261,41 @@ TEST(RecoveryTest, WatchdogReportsChipDeathWithBlockedInstructions)
     EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(RecoveryTest, OnlyAChipOnTheMeshBlocksCollectives)
+{
+    // Every collective's groups tile the whole mesh, so a dead chip
+    // blocks the step exactly when its id is on the mesh; ids off
+    // either end change nothing, down to the last bit.
+    ElasticProgramSpec spec = SmallSpec();
+    Mesh mesh(4);
+    CompilerOptions options = ForcedOverlapOptions();
+    auto program = BuildElasticProgram(spec, mesh, options,
+                                       InitialElasticState(spec));
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    auto healthy =
+        PodSimulator(mesh, options.hardware).Run(*program->module);
+    ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+
+    for (int64_t chip : {4, 5, 1000}) {
+        PodSimulator simulator(
+            mesh, options.hardware,
+            FaultModel(ChipDeath(chip, /*fail_step=*/0).spec));
+        auto outcome = simulator.RunStep(*program->module, 0);
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        EXPECT_FALSE(outcome->failed) << "chip " << chip;
+        EXPECT_EQ(outcome->result.step_seconds, healthy->step_seconds)
+            << "chip " << chip;
+    }
+    for (int64_t chip = 0; chip < mesh.num_devices(); ++chip) {
+        PodSimulator simulator(
+            mesh, options.hardware,
+            FaultModel(ChipDeath(chip, /*fail_step=*/0).spec));
+        auto outcome = simulator.RunStep(*program->module, 0);
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        EXPECT_TRUE(outcome->failed) << "chip " << chip;
+    }
+}
+
 /**
  * Chip death lands at a given fraction of the healthy step time —
  * prologue, steady state, or epilogue of the unrolled decomposed loop —

@@ -22,7 +22,7 @@ BuildLoopModule(int64_t n, const HardwareSpec& spec)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {1024, 4096}));
     auto* w = b.Parameter(1, Shape(DType::kBF16, {4096, 8192}));
-    auto* ag = b.AllGather(p, 0, mesh.Groups(0));
+    auto* ag = b.AllGather(p, 0, mesh.AxisGroups(0));
     comp->set_root(b.Einsum(ag, w, "bf,fh->bh"));
     CostModel cost(spec);
     DecomposeOptions options;

@@ -197,13 +197,23 @@ TEST(MeshTest, CoordsRoundTrip)
 TEST(MeshTest, GroupsAlongAxes)
 {
     Mesh mesh(2, 3);
-    auto y_groups = mesh.Groups(1);
-    ASSERT_EQ(y_groups.size(), 2u);
-    EXPECT_EQ(y_groups[0], (std::vector<int64_t>{0, 1, 2}));
-    EXPECT_EQ(y_groups[1], (std::vector<int64_t>{3, 4, 5}));
-    auto x_groups = mesh.Groups(0);
-    ASSERT_EQ(x_groups.size(), 3u);
-    EXPECT_EQ(x_groups[0], (std::vector<int64_t>{0, 3}));
+    // y groups {0,1,2},{3,4,5}; x groups {0,3},{1,4},{2,5}.
+    DeviceGroups y = mesh.AxisGroups(1);
+    EXPECT_EQ(y, (DeviceGroups{.size = 3, .stride = 1}));
+    EXPECT_EQ(y.Member(4, 0), 3);
+    EXPECT_EQ(y.Member(4, 2), 5);
+    EXPECT_EQ(y.Position(5), 2);
+    DeviceGroups x = mesh.AxisGroups(0);
+    EXPECT_EQ(x, (DeviceGroups{.size = 2, .stride = 3}));
+    EXPECT_EQ(x.Member(0, 1), 3);
+    EXPECT_EQ(x.Member(5, 0), 2);
+    EXPECT_EQ(x.Position(4), 1);
+    for (int64_t axis = 0; axis < 2; ++axis) {
+        for (int64_t d = 0; d < 6; ++d) {
+            EXPECT_EQ(mesh.AxisGroups(axis).Position(d),
+                      mesh.PositionInGroup(d, axis));
+        }
+    }
 }
 
 TEST(MeshTest, RingNeighborWraps)
@@ -217,12 +227,50 @@ TEST(MeshTest, RingNeighborWraps)
     EXPECT_EQ(torus.RingNeighbor(1, 0, 1), 5);
 }
 
-TEST(MeshTest, InferGroupsAxis)
+TEST(MeshTest, AxisOf)
 {
     Mesh mesh(2, 4);
-    EXPECT_EQ(mesh.InferGroupsAxis(mesh.Groups(0)), 0);
-    EXPECT_EQ(mesh.InferGroupsAxis(mesh.Groups(1)), 1);
-    EXPECT_EQ(mesh.InferGroupsAxis({{0, 1, 2, 3, 4, 5, 6, 7}}), -1);
+    EXPECT_EQ(mesh.AxisOf(mesh.AxisGroups(0)), 0);
+    EXPECT_EQ(mesh.AxisOf(mesh.AxisGroups(1)), 1);
+    EXPECT_EQ(mesh.AxisOf(mesh.RingShift(1, 1)), 1);
+    // Whole-mesh groups match no single axis of a 2-D mesh...
+    EXPECT_EQ(mesh.AxisOf(DeviceGroups{.size = 8, .stride = 1}), -1);
+    // ...nor does a right-sized group with the wrong stride.
+    EXPECT_EQ(mesh.AxisOf(DeviceGroups{.size = 2, .stride = 1}), -1);
+    EXPECT_EQ(mesh.AxisOf(DeviceGroups{.size = 4, .stride = 2}), -1);
+    // On a 1-D mesh the whole mesh is axis 0.
+    EXPECT_EQ(Mesh(8).AxisOf(DeviceGroups{.size = 8, .stride = 1}), 0);
+    // Singleton groups are the same device lists at any stride.
+    EXPECT_EQ(Mesh(1, 4).AxisOf(DeviceGroups{.size = 1, .stride = 1}), 0);
+}
+
+TEST(MeshTest, DeviceGroupsValidateTilingAndShift)
+{
+    const int64_t n = 8;
+    EXPECT_TRUE(Mesh(2, 4).AxisGroups(0).Validate(n, false).ok());
+    EXPECT_TRUE(Mesh(2, 4).RingShift(0, 1).Validate(n, true).ok());
+    EXPECT_FALSE((DeviceGroups{.size = 0, .stride = 1}).Validate(n, false)
+                     .ok());
+    EXPECT_FALSE((DeviceGroups{.size = 2, .stride = 0}).Validate(n, false)
+                     .ok());
+    // 3 x 1 and 2 x 3 do not divide 8 devices.
+    EXPECT_FALSE((DeviceGroups{.size = 3, .stride = 1}).Validate(n, false)
+                     .ok());
+    EXPECT_FALSE((DeviceGroups{.size = 2, .stride = 3}).Validate(n, false)
+                     .ok());
+    // Without a mesh only the shape of the descriptor is checked.
+    EXPECT_TRUE((DeviceGroups{.size = 3, .stride = 1}).Validate(-1, false)
+                    .ok());
+    // A permute needs a non-identity shift; nothing else may shift.
+    EXPECT_FALSE((DeviceGroups{.size = 4, .stride = 1, .shift = 4})
+                     .Validate(n, true)
+                     .ok());
+    EXPECT_FALSE((DeviceGroups{.size = 4, .stride = 1, .shift = 0})
+                     .Validate(n, true)
+                     .ok());
+    EXPECT_FALSE((DeviceGroups{.size = 4, .stride = 1, .shift = 1})
+                     .Validate(n, false)
+                     .ok());
 }
 
 TEST(ShardingTest, ShardShapeAndOffsets)
