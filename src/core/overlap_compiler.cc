@@ -106,6 +106,7 @@ OverlapCompiler::Compile(HloModule* module) const
     Histogram* pass_seconds =
         MetricsRegistry::Global().histogram("compiler.pass_seconds");
     for (const PipelinePass& pass : pipeline) {
+        const double snapshot_start = NowSeconds();
         std::unique_ptr<HloComputation> snapshot;
         CompileReport report_snapshot;
         if (options_.guard_passes) {
@@ -114,15 +115,19 @@ OverlapCompiler::Compile(HloModule* module) const
         }
         PassTiming timing;
         timing.pass_name = pass.name;
-        timing.start_seconds = NowSeconds() - compile_start;
+        const double pass_start = NowSeconds();
+        timing.start_seconds = pass_start - compile_start;
+        timing.guard_seconds = pass_start - snapshot_start;
         timing.instructions_before = module->entry()->instruction_count();
         Status status = pass.run();
-        timing.end_seconds = NowSeconds() - compile_start;
+        const double pass_end = NowSeconds();
+        timing.end_seconds = pass_end - compile_start;
         timing.instructions_after = module->entry()->instruction_count();
-        report.pass_timings.push_back(timing);
         passes_run->Add();
         if (MetricsEnabled()) pass_seconds->Record(timing.seconds());
         if (status.ok()) status = VerifyModule(*module);
+        timing.guard_seconds += NowSeconds() - pass_end;
+        report.pass_timings.push_back(timing);
         if (status.ok()) continue;
         if (!options_.guard_passes) return status;
         // The pass errored or emitted invalid HLO: restore the pre-pass

@@ -1,9 +1,9 @@
 #include "hlo/computation.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "support/strings.h"
 
@@ -31,12 +31,16 @@ std::unique_ptr<HloComputation>
 HloComputation::Clone() const
 {
     auto clone = std::make_unique<HloComputation>(name_);
-    std::unordered_map<const HloInstruction*, HloInstruction*> map;
+    // Old -> new, indexed by the (preserved) instruction id.
+    std::vector<HloInstruction*> map(static_cast<size_t>(next_id_));
+    auto mapped = [&map](const HloInstruction* instr) {
+        return map[static_cast<size_t>(instr->id())];
+    };
     for (const auto& instr : instructions_) {
         std::vector<HloInstruction*> operands;
         operands.reserve(instr->operands().size());
         for (const HloInstruction* operand : instr->operands()) {
-            operands.push_back(map.at(operand));
+            operands.push_back(mapped(operand));
         }
         HloInstruction* copy = clone->AddInstruction(
             instr->opcode(), instr->shape(), std::move(operands),
@@ -48,12 +52,12 @@ HloComputation::Clone() const
         if (instr->sharding().has_value()) {
             copy->set_sharding(*instr->sharding());
         }
-        map[instr.get()] = copy;
+        map[static_cast<size_t>(instr->id())] = copy;
     }
-    clone->root_ = root_ != nullptr ? map.at(root_) : nullptr;
+    clone->root_ = root_ != nullptr ? mapped(root_) : nullptr;
     clone->schedule_.reserve(schedule_.size());
     for (const HloInstruction* instr : schedule_) {
-        clone->schedule_.push_back(map.at(instr));
+        clone->schedule_.push_back(mapped(instr));
     }
     clone->next_id_ = next_id_;
     clone->next_loop_group_ = next_loop_group_;
@@ -68,6 +72,34 @@ HloComputation::instructions() const
     out.reserve(instructions_.size());
     for (const auto& instr : instructions_) out.push_back(instr.get());
     return out;
+}
+
+std::vector<int64_t>
+HloComputation::FusionGroupLeaders() const
+{
+    std::vector<int64_t> leaders(static_cast<size_t>(next_id_), -1);
+    // (group, position) of every fused instruction; sorted, each
+    // group's run starts at its first member.
+    std::vector<std::pair<int64_t, int64_t>> fused;
+    for (size_t i = 0; i < instructions_.size(); ++i) {
+        const HloInstruction* instr = instructions_[i].get();
+        leaders[static_cast<size_t>(instr->id())] = instr->id();
+        if (instr->fusion_group() >= 0) {
+            fused.push_back(
+                {instr->fusion_group(), static_cast<int64_t>(i)});
+        }
+    }
+    std::sort(fused.begin(), fused.end());
+    int64_t leader = -1;
+    for (size_t k = 0; k < fused.size(); ++k) {
+        const HloInstruction* instr =
+            instructions_[static_cast<size_t>(fused[k].second)].get();
+        if (k == 0 || fused[k].first != fused[k - 1].first) {
+            leader = instr->id();
+        }
+        leaders[static_cast<size_t>(instr->id())] = leader;
+    }
+    return leaders;
 }
 
 std::vector<HloInstruction*>
@@ -108,25 +140,29 @@ int64_t
 HloComputation::RemoveDeadInstructions()
 {
     OVERLAP_CHECK(root_ != nullptr);
-    std::unordered_set<const HloInstruction*> live;
+    std::vector<bool> live(static_cast<size_t>(next_id_), false);
+    auto is_live = [&live](const HloInstruction* instr) {
+        return live[static_cast<size_t>(instr->id())];
+    };
     std::vector<HloInstruction*> stack{root_};
     while (!stack.empty()) {
         HloInstruction* instr = stack.back();
         stack.pop_back();
-        if (!live.insert(instr).second) continue;
+        if (is_live(instr)) continue;
+        live[static_cast<size_t>(instr->id())] = true;
         for (HloInstruction* operand : instr->operands()) {
             stack.push_back(operand);
         }
     }
     for (const auto& instr : instructions_) {
         if (instr->opcode() == HloOpcode::kParameter) {
-            live.insert(instr.get());
+            live[static_cast<size_t>(instr->id())] = true;
         }
     }
     int64_t removed = 0;
     // Detach user edges of dying instructions first.
     for (const auto& instr : instructions_) {
-        if (live.count(instr.get())) continue;
+        if (is_live(instr.get())) continue;
         for (HloInstruction* operand : instr->operands()) {
             operand->RemoveUser(instr.get());
         }
@@ -135,14 +171,14 @@ HloComputation::RemoveDeadInstructions()
     if (removed == 0) return 0;
     instructions_.erase(
         std::remove_if(instructions_.begin(), instructions_.end(),
-                       [&live](const std::unique_ptr<HloInstruction>& i) {
-                           return live.count(i.get()) == 0;
+                       [&](const std::unique_ptr<HloInstruction>& i) {
+                           return !is_live(i.get());
                        }),
         instructions_.end());
     if (!schedule_.empty()) {
         schedule_.erase(std::remove_if(schedule_.begin(), schedule_.end(),
-                                       [&live](const HloInstruction* i) {
-                                           return live.count(i) == 0;
+                                       [&](const HloInstruction* i) {
+                                           return !is_live(i);
                                        }),
                         schedule_.end());
     }
@@ -152,51 +188,60 @@ HloComputation::RemoveDeadInstructions()
 void
 HloComputation::SortTopologically()
 {
-    // Kahn's algorithm with a min-heap on the original list index, so the
-    // result deviates from the existing order only where required.
-    std::unordered_map<const HloInstruction*, int64_t> position;
-    std::unordered_map<HloInstruction*, int64_t> missing_operands;
-    for (size_t i = 0; i < instructions_.size(); ++i) {
-        position[instructions_[i].get()] = static_cast<int64_t>(i);
+    // Kahn's algorithm with a min-heap on the original list position, so
+    // the result deviates from the existing order only where required.
+    // Per-instruction counters live in flat vectors indexed by id.
+    const size_t n = instructions_.size();
+    const size_t bound = static_cast<size_t>(next_id_);
+    std::vector<int64_t> position(bound, -1);
+    for (size_t i = 0; i < n; ++i) {
+        position[static_cast<size_t>(instructions_[i]->id())] =
+            static_cast<int64_t>(i);
     }
-    auto later = [&position](HloInstruction* a, HloInstruction* b) {
-        return position.at(a) > position.at(b);
-    };
-    std::priority_queue<HloInstruction*, std::vector<HloInstruction*>,
-                        decltype(later)>
-        ready(later);
-    for (const auto& instr : instructions_) {
-        // Count each distinct operand once.
-        std::unordered_set<const HloInstruction*> distinct(
-            instr->operands().begin(), instr->operands().end());
-        missing_operands[instr.get()] =
-            static_cast<int64_t>(distinct.size());
-        if (distinct.empty()) ready.push(instr.get());
+    std::vector<int64_t> missing_operands(bound, 0);
+    // Stamp of the last instruction that counted each operand, so each
+    // distinct operand is counted once.
+    std::vector<int64_t> counted_by(bound, -1);
+    std::priority_queue<int64_t, std::vector<int64_t>,
+                        std::greater<int64_t>>
+        ready;
+    for (size_t i = 0; i < n; ++i) {
+        const HloInstruction* instr = instructions_[i].get();
+        int64_t distinct = 0;
+        for (const HloInstruction* operand : instr->operands()) {
+            int64_t& stamp = counted_by[static_cast<size_t>(operand->id())];
+            if (stamp == static_cast<int64_t>(i)) continue;
+            stamp = static_cast<int64_t>(i);
+            ++distinct;
+        }
+        missing_operands[static_cast<size_t>(instr->id())] = distinct;
+        if (distinct == 0) ready.push(static_cast<int64_t>(i));
     }
-    std::vector<HloInstruction*> order;
-    order.reserve(instructions_.size());
-    std::unordered_set<const HloInstruction*> emitted;
+    std::vector<int64_t> order;
+    order.reserve(n);
     while (!ready.empty()) {
-        HloInstruction* instr = ready.top();
+        int64_t i = ready.top();
         ready.pop();
-        order.push_back(instr);
-        emitted.insert(instr);
-        for (HloInstruction* user : instr->users()) {
+        order.push_back(i);
+        for (const HloInstruction* user :
+             instructions_[static_cast<size_t>(i)]->users()) {
             // A user may read this instruction through several operand
             // slots; it was counted once above.
-            if (--missing_operands.at(user) == 0) ready.push(user);
+            if (--missing_operands[static_cast<size_t>(user->id())] == 0) {
+                ready.push(position[static_cast<size_t>(user->id())]);
+            }
         }
     }
-    OVERLAP_CHECK(order.size() == instructions_.size());
-    std::unordered_map<const HloInstruction*, int64_t> new_position;
-    for (size_t i = 0; i < order.size(); ++i) {
-        new_position[order[i]] = static_cast<int64_t>(i);
+    if (order.size() != n) {
+        internal::CheckFailed("SortTopologically: dependency cycle",
+                              __FILE__, __LINE__);
     }
-    std::sort(instructions_.begin(), instructions_.end(),
-              [&new_position](const std::unique_ptr<HloInstruction>& a,
-                              const std::unique_ptr<HloInstruction>& b) {
-                  return new_position.at(a.get()) < new_position.at(b.get());
-              });
+    std::vector<std::unique_ptr<HloInstruction>> sorted;
+    sorted.reserve(n);
+    for (int64_t i : order) {
+        sorted.push_back(std::move(instructions_[static_cast<size_t>(i)]));
+    }
+    instructions_ = std::move(sorted);
     schedule_.clear();
 }
 

@@ -51,6 +51,21 @@ class HloComputation {
         return static_cast<int64_t>(instructions_.size());
     }
 
+    /**
+     * One past the largest instruction id ever handed out. Ids are
+     * unique within a computation and below this bound, so per-
+     * instruction data can live in flat vectors indexed by id.
+     */
+    int64_t id_bound() const { return next_id_; }
+
+    /**
+     * For each instruction id below id_bound(): the id of the first
+     * instruction, in insertion order, of its fusion group. An unfused
+     * instruction leads its own singleton group; ids no live
+     * instruction holds map to -1.
+     */
+    std::vector<int64_t> FusionGroupLeaders() const;
+
     /** Parameters ordered by parameter_number. */
     std::vector<HloInstruction*> parameters() const;
 

@@ -1,6 +1,5 @@
 #include "hlo/verifier.h"
 
-#include <unordered_map>
 #include <unordered_set>
 
 #include "support/strings.h"
@@ -138,12 +137,19 @@ VerifyComputation(const HloComputation& computation, const Mesh* mesh)
         return InvalidArgument("computation has no root");
     }
     std::vector<HloInstruction*> instrs = computation.instructions();
-    std::unordered_set<const HloInstruction*> defined;
+    // Membership by id: an instruction is this computation's (and
+    // defined so far) when its id slot holds that very pointer.
+    const size_t bound = static_cast<size_t>(computation.id_bound());
+    std::vector<const HloInstruction*> defined(bound, nullptr);
+    auto is_defined = [&](const HloInstruction* instr) {
+        size_t id = static_cast<size_t>(instr->id());
+        return id < bound && defined[id] == instr;
+    };
     std::unordered_set<int64_t> param_numbers;
     int64_t param_count = 0;
     for (const HloInstruction* instr : instrs) {
         for (const HloInstruction* operand : instr->operands()) {
-            if (defined.count(operand) == 0) {
+            if (!is_defined(operand)) {
                 return InvalidArgument(
                     StrCat("operand %", operand->name(),
                            " not defined before %", instr->name()));
@@ -165,7 +171,7 @@ VerifyComputation(const HloComputation& computation, const Mesh* mesh)
                            instr->name()));
             }
         }
-        defined.insert(instr);
+        defined[static_cast<size_t>(instr->id())] = instr;
     }
     for (int64_t p = 0; p < param_count; ++p) {
         if (param_numbers.count(p) == 0) {
@@ -173,7 +179,7 @@ VerifyComputation(const HloComputation& computation, const Mesh* mesh)
                 StrCat("parameter numbers not dense: missing ", p));
         }
     }
-    if (defined.count(computation.root()) == 0) {
+    if (!is_defined(computation.root())) {
         return InvalidArgument("root is not in the computation");
     }
 
@@ -182,19 +188,45 @@ VerifyComputation(const HloComputation& computation, const Mesh* mesh)
         if (schedule.size() != instrs.size()) {
             return InvalidArgument("schedule length mismatch");
         }
-        std::unordered_set<const HloInstruction*> scheduled;
+        // A fusion group runs as one kernel, so its members must sit
+        // back to back: each group (keyed by its leader) may open only
+        // one run in the schedule.
+        const std::vector<int64_t> leaders =
+            computation.FusionGroupLeaders();
+        std::vector<bool> scheduled(bound, false);
+        std::vector<bool> group_opened(bound, false);
+        int64_t previous_leader = -1;
         for (const HloInstruction* instr : schedule) {
+            if (!is_defined(instr)) {
+                return InvalidArgument(StrCat("schedule names %",
+                                              instr->name(),
+                                              ", which is not in the "
+                                              "computation"));
+            }
+            const size_t id = static_cast<size_t>(instr->id());
             for (const HloInstruction* operand : instr->operands()) {
-                if (scheduled.count(operand) == 0) {
+                if (!scheduled[static_cast<size_t>(operand->id())]) {
                     return InvalidArgument(
                         StrCat("schedule places %", instr->name(),
                                " before its operand %", operand->name()));
                 }
             }
-            if (!scheduled.insert(instr).second) {
+            if (scheduled[id]) {
                 return InvalidArgument(StrCat(
                     "schedule repeats %", instr->name()));
             }
+            scheduled[id] = true;
+            const int64_t leader = leaders[id];
+            if (leader != previous_leader) {
+                if (group_opened[static_cast<size_t>(leader)]) {
+                    return InvalidArgument(
+                        StrCat("schedule splits fusion group ",
+                               instr->fusion_group(), " at %",
+                               instr->name()));
+                }
+                group_opened[static_cast<size_t>(leader)] = true;
+            }
+            previous_leader = leader;
         }
     }
     return Status::Ok();

@@ -18,8 +18,10 @@ namespace overlap {
  *    and axis-index names an existing mesh axis — O(1) per instruction,
  *    since groups are never explicit device lists (DeviceGroups);
  *  - each CollectivePermuteStart has exactly one Done user;
- *  - an attached schedule is a permutation of the instruction list and a
- *    valid topological order.
+ *  - an attached schedule is a permutation of the instruction list, a
+ *    valid topological order, and keeps each fusion group's members
+ *    contiguous (a group runs as one kernel).
+ * O(instructions + edges): per-instruction state is indexed by id.
  */
 Status VerifyModule(const HloModule& module);
 

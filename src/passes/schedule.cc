@@ -1,9 +1,11 @@
 #include "passes/schedule.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
+#include <queue>
+#include <tuple>
+#include <utility>
 
 #include "hlo/verifier.h"
 #include "support/strings.h"
@@ -18,51 +20,87 @@ UnitOutputBytes(const SchedUnit* unit)
     return unit->members.back()->shape().byte_size();
 }
 
+/** Min-heap of plain keys (positions or (key, tie) pairs). */
+template <typename T>
+using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<T>>;
+
+/** Each unit's position in `input`, indexed by SchedUnit::id. */
+std::vector<int64_t>
+InputPositions(const SchedGraph& graph, const std::vector<SchedUnit*>& input)
+{
+    OVERLAP_CHECK(input.size() == graph.units().size());
+    std::vector<int64_t> position(input.size());
+    for (size_t i = 0; i < input.size(); ++i) {
+        position[static_cast<size_t>(input[i]->id)] =
+            static_cast<int64_t>(i);
+    }
+    return position;
+}
+
 }  // namespace
 
 std::vector<SchedUnit*>
 BaselineMemorySchedule(const SchedGraph& graph)
 {
-    std::unordered_map<const SchedUnit*, int64_t> missing;
-    std::unordered_map<const SchedUnit*, int64_t> remaining_users;
-    std::vector<SchedUnit*> ready;
-    for (const auto& unit : graph.units()) {
-        missing[unit.get()] = static_cast<int64_t>(unit->operands.size());
-        remaining_users[unit.get()] =
-            static_cast<int64_t>(unit->users.size());
-        if (unit->operands.empty()) ready.push_back(unit.get());
+    const auto& units = graph.units();
+    const size_t n = units.size();
+    std::vector<int64_t> missing(n);
+    std::vector<int64_t> remaining_users(n);
+    std::vector<int64_t> delta(n);
+    std::vector<bool> scheduled(n, false);
+    for (const auto& unit : units) {
+        size_t id = static_cast<size_t>(unit->id);
+        missing[id] = static_cast<int64_t>(unit->operands.size());
+        remaining_users[id] = static_cast<int64_t>(unit->users.size());
+    }
+    // Greedy: smallest live-memory delta; ties by program order (id).
+    // A ready unit's delta only ever decreases (when one of its
+    // operands drops to one remaining user), so each decrease pushes a
+    // fresh entry and the superseded, larger ones are skipped once the
+    // unit has been scheduled.
+    MinHeap<std::pair<int64_t, int64_t>> ready;
+    auto make_ready = [&](const SchedUnit* unit) {
+        int64_t d = UnitOutputBytes(unit);
+        for (const SchedUnit* operand : unit->operands) {
+            if (remaining_users[static_cast<size_t>(operand->id)] == 1) {
+                d -= UnitOutputBytes(operand);
+            }
+        }
+        delta[static_cast<size_t>(unit->id)] = d;
+        ready.push({d, unit->id});
+    };
+    for (const auto& unit : units) {
+        if (unit->operands.empty()) make_ready(unit.get());
     }
     std::vector<SchedUnit*> order;
-    order.reserve(graph.units().size());
+    order.reserve(n);
     while (!ready.empty()) {
-        // Greedy: smallest live-memory delta; ties by program order (id).
-        size_t best = 0;
-        int64_t best_delta = std::numeric_limits<int64_t>::max();
-        for (size_t i = 0; i < ready.size(); ++i) {
-            const SchedUnit* u = ready[i];
-            int64_t delta = UnitOutputBytes(u);
-            for (const SchedUnit* operand : u->operands) {
-                if (remaining_users.at(operand) == 1) {
-                    delta -= UnitOutputBytes(operand);
-                }
-            }
-            if (delta < best_delta ||
-                (delta == best_delta && u->id < ready[best]->id)) {
-                best_delta = delta;
-                best = i;
-            }
-        }
-        SchedUnit* unit = ready[best];
-        ready.erase(ready.begin() + static_cast<int64_t>(best));
+        size_t id = static_cast<size_t>(ready.top().second);
+        ready.pop();
+        if (scheduled[id]) continue;
+        scheduled[id] = true;
+        SchedUnit* unit = units[id].get();
         order.push_back(unit);
-        for (SchedUnit* operand : unit->operands) {
-            --remaining_users.at(operand);
+        for (const SchedUnit* operand : unit->operands) {
+            if (--remaining_users[static_cast<size_t>(operand->id)] != 1) {
+                continue;
+            }
+            // The operand's last user now frees it: if that user is
+            // already ready its delta drops by the operand's bytes.
+            for (const SchedUnit* user : operand->users) {
+                size_t u = static_cast<size_t>(user->id);
+                if (scheduled[u] || missing[u] != 0) continue;
+                delta[u] -= UnitOutputBytes(operand);
+                ready.push({delta[u], user->id});
+            }
         }
-        for (SchedUnit* user : unit->users) {
-            if (--missing.at(user) == 0) ready.push_back(user);
+        for (const SchedUnit* user : unit->users) {
+            if (--missing[static_cast<size_t>(user->id)] == 0) {
+                make_ready(user);
+            }
         }
     }
-    OVERLAP_CHECK(order.size() == graph.units().size());
+    OVERLAP_CHECK(order.size() == n);
     return order;
 }
 
@@ -73,10 +111,9 @@ BottomUpSchedule(const SchedGraph& graph,
     // Algorithm 2: schedule in reverse from the dataflow roots so that
     // (after the final reversal) Dones land as late and Starts as early
     // as possible.
-    std::unordered_map<const SchedUnit*, int64_t> input_pos;
-    for (size_t i = 0; i < input.size(); ++i) {
-        input_pos[input[i]] = static_cast<int64_t>(i);
-    }
+    const auto& units = graph.units();
+    const size_t n = units.size();
+    const std::vector<int64_t> input_pos = InputPositions(graph, input);
     // Two distinct time roles: the reverse clock advances only by kernel
     // latency (a Done unit itself takes no device time), while the
     // ready-time an operand inherits from a Done user includes the wire
@@ -87,23 +124,15 @@ BottomUpSchedule(const SchedGraph& graph,
         return u->IsAsyncDone() ? u->transfer_seconds : u->latency;
     };
 
-    std::unordered_map<const SchedUnit*, int64_t> unscheduled_users;
-    std::unordered_map<const SchedUnit*, double> ready_time;
+    std::vector<int64_t> unscheduled_users(n);
+    std::vector<double> ready_time(n, 0.0);
     // Earliest reverse-clock time each Start may be scheduled: anchored
     // to the clock value at which its Done was scheduled (not to the
     // Done's ready_time), so that pending-queue jumps on one ring chain
     // do not let another chain's Start slip in right after its Done and
     // serialize the transfers.
-    std::unordered_map<const SchedUnit*, double> start_allowed;
-    std::vector<SchedUnit*> available;
-    for (const auto& unit : graph.units()) {
-        unscheduled_users[unit.get()] =
-            static_cast<int64_t>(unit->users.size());
-        if (unit->users.empty()) {
-            ready_time[unit.get()] = 0.0;
-            available.push_back(unit.get());
-        }
-    }
+    std::vector<double> start_allowed(
+        n, -std::numeric_limits<double>::infinity());
 
     // Priority classes (lower is better): Dones first (latest possible
     // final position), then time-ready Starts (scheduling a ready Start
@@ -119,75 +148,88 @@ BottomUpSchedule(const SchedGraph& graph,
         return 3;
     };
 
+    // Available units wait in `pending` until the reverse clock passes
+    // their ready time (earliest first, ties to the later input
+    // position), then join their class's `ready` heap (later input
+    // position first). The clock never runs backwards, so a unit never
+    // leaves its ready heap except by being scheduled.
+    MinHeap<std::pair<double, int64_t>> pending;  // (ready_time, -pos)
+    std::priority_queue<int64_t> ready[4];         // input positions
+    auto make_available = [&](const SchedUnit* unit) {
+        pending.push({ready_time[static_cast<size_t>(unit->id)],
+                      -input_pos[static_cast<size_t>(unit->id)]});
+    };
+    for (const auto& unit : units) {
+        unscheduled_users[static_cast<size_t>(unit->id)] =
+            static_cast<int64_t>(unit->users.size());
+        if (unit->users.empty()) make_available(unit.get());
+    }
+
     std::vector<SchedUnit*> reversed;
-    reversed.reserve(graph.units().size());
+    reversed.reserve(n);
     double current_time = 0.0;
     int64_t in_flight = 0;
 
-    while (!available.empty()) {
-        // Select: best priority among time-ready candidates; if none is
-        // time-ready, the pending unit that becomes ready first.
-        SchedUnit* candidate = nullptr;
-        int64_t candidate_class = 4;
-        bool candidate_ready = false;
-        double candidate_rt = 0.0;
-        for (SchedUnit* u : available) {
-            double rt = ready_time.at(u);
-            bool is_ready = rt <= current_time;
-            int64_t cls = priority_class(u);
-            if (cls == 0 && in_flight >= max_in_flight) {
-                cls = 3;  // budget exhausted: treat the Done as ordinary
-            }
-            bool better;
-            if (candidate == nullptr) {
-                better = true;
-            } else if (is_ready != candidate_ready) {
-                better = is_ready;
-            } else if (is_ready) {
-                better = cls < candidate_class ||
-                         (cls == candidate_class &&
-                          input_pos.at(u) > input_pos.at(candidate));
-            } else {
-                better = rt < candidate_rt ||
-                         (rt == candidate_rt &&
-                          input_pos.at(u) > input_pos.at(candidate));
-            }
-            if (better) {
-                candidate = u;
-                candidate_class = cls;
-                candidate_ready = is_ready;
-                candidate_rt = rt;
-            }
+    auto pop = [](std::priority_queue<int64_t>& heap) {
+        int64_t pos = heap.top();
+        heap.pop();
+        return pos;
+    };
+    while (!pending.empty() || !ready[0].empty() || !ready[1].empty() ||
+           !ready[2].empty() || !ready[3].empty()) {
+        while (!pending.empty() && pending.top().first <= current_time) {
+            SchedUnit* unit =
+                input[static_cast<size_t>(-pending.top().second)];
+            pending.pop();
+            ready[priority_class(unit)].push(
+                input_pos[static_cast<size_t>(unit->id)]);
         }
-        OVERLAP_CHECK(candidate != nullptr);
-        available.erase(
-            std::find(available.begin(), available.end(), candidate));
+        // Select: best priority among time-ready candidates; if none is
+        // time-ready, the pending unit that becomes ready first. With
+        // the in-flight budget exhausted a Done counts as ordinary
+        // work (class 3).
+        const bool budget_exhausted = in_flight >= max_in_flight;
+        int64_t pos;
+        if (!budget_exhausted && !ready[0].empty()) {
+            pos = pop(ready[0]);
+        } else if (!ready[1].empty()) {
+            pos = pop(ready[1]);
+        } else if (!ready[2].empty()) {
+            pos = pop(ready[2]);
+        } else if (budget_exhausted && !ready[0].empty() &&
+                   (ready[3].empty() || ready[0].top() > ready[3].top())) {
+            pos = pop(ready[0]);
+        } else if (!ready[3].empty()) {
+            pos = pop(ready[3]);
+        } else {
+            pos = -pending.top().second;
+            pending.pop();
+        }
+        SchedUnit* candidate = input[static_cast<size_t>(pos)];
+        const size_t c = static_cast<size_t>(candidate->id);
         reversed.push_back(candidate);
         if (candidate->IsAsyncStart()) --in_flight;
-        current_time = std::max(current_time, ready_time.at(candidate)) +
+        current_time = std::max(current_time, ready_time[c]) +
                        candidate->latency;
         if (candidate->IsAsyncDone()) {
             ++in_flight;
-            start_allowed[candidate->operands.front()] =
+            start_allowed[static_cast<size_t>(
+                candidate->operands.front()->id)] =
                 current_time + candidate->transfer_seconds;
         }
-        for (SchedUnit* operand : candidate->operands) {
-            if (--unscheduled_users.at(operand) == 0) {
-                double rt = 0.0;
-                for (const SchedUnit* user : operand->users) {
-                    rt = std::max(rt, ready_time.at(user) +
-                                          spacing_latency(user));
-                }
-                auto allowed = start_allowed.find(operand);
-                if (allowed != start_allowed.end()) {
-                    rt = std::max(rt, allowed->second);
-                }
-                ready_time[operand] = rt;
-                available.push_back(operand);
+        for (const SchedUnit* operand : candidate->operands) {
+            const size_t o = static_cast<size_t>(operand->id);
+            if (--unscheduled_users[o] != 0) continue;
+            double rt = 0.0;
+            for (const SchedUnit* user : operand->users) {
+                rt = std::max(rt, ready_time[static_cast<size_t>(user->id)] +
+                                      spacing_latency(user));
             }
+            ready_time[o] = std::max(rt, start_allowed[o]);
+            make_available(operand);
         }
     }
-    OVERLAP_CHECK(reversed.size() == graph.units().size());
+    OVERLAP_CHECK(reversed.size() == n);
     std::reverse(reversed.begin(), reversed.end());
     return reversed;
 }
@@ -202,29 +244,48 @@ TopDownSchedule(const SchedGraph& graph,
     // (the cost-based rebalancing). Less precise than the bottom-up
     // scheduler's per-transfer spacing accounting, which is where it
     // gives up some overlap (§6.3).
-    std::unordered_map<const SchedUnit*, int64_t> input_pos;
-    for (size_t i = 0; i < input.size(); ++i) {
-        input_pos[input[i]] = static_cast<int64_t>(i);
-    }
-    std::unordered_map<const SchedUnit*, int64_t> missing;
-    std::vector<SchedUnit*> ready;
-    for (const auto& unit : graph.units()) {
-        missing[unit.get()] = static_cast<int64_t>(unit->operands.size());
-        if (unit->operands.empty()) ready.push_back(unit.get());
-    }
-    std::vector<SchedUnit*> order;
-    order.reserve(graph.units().size());
-    int64_t in_flight = 0;
+    const auto& units = graph.units();
+    const size_t n = units.size();
+    const std::vector<int64_t> input_pos = InputPositions(graph, input);
+    std::vector<int64_t> missing(n);
+    std::vector<double> arrival(n, 0.0);
+    std::vector<bool> emitted(n, false);
 
-    auto emit = [&](SchedUnit* unit) {
-        ready.erase(std::find(ready.begin(), ready.end(), unit));
-        order.push_back(unit);
-        if (unit->IsAsyncStart()) ++in_flight;
-        if (unit->IsAsyncDone()) --in_flight;
-        for (SchedUnit* user : unit->users) {
-            if (--missing.at(user) == 0) ready.push_back(user);
+    // Ready units by kind. Starts sit both in an input-order heap
+    // (rule 1) and in a FIFO of readiness order (the budget-blocked
+    // fallback); each drops its copy in the other lazily. Dones are
+    // ordered by their transfer's arrival, ties to the one that became
+    // ready first.
+    MinHeap<int64_t> starts;          // input positions
+    std::vector<int64_t> start_fifo;  // unit ids
+    size_t fifo_head = 0;
+    // Dones as (arrival, readiness sequence, unit id).
+    MinHeap<std::tuple<double, int64_t, int64_t>> dones;
+    int64_t done_seq = 0;
+    MinHeap<int64_t> others;  // input positions
+    int64_t ready_count = 0;
+    auto make_ready = [&](const SchedUnit* unit) {
+        const size_t id = static_cast<size_t>(unit->id);
+        ++ready_count;
+        if (unit->IsAsyncStart()) {
+            starts.push(input_pos[id]);
+            start_fifo.push_back(unit->id);
+        } else if (unit->IsAsyncDone()) {
+            dones.push({arrival[static_cast<size_t>(
+                            unit->operands.front()->id)],
+                        done_seq++, unit->id});
+        } else {
+            others.push(input_pos[id]);
         }
     };
+    for (const auto& unit : units) {
+        missing[static_cast<size_t>(unit->id)] =
+            static_cast<int64_t>(unit->operands.size());
+        if (unit->operands.empty()) make_ready(unit.get());
+    }
+    std::vector<SchedUnit*> order;
+    order.reserve(n);
+    int64_t in_flight = 0;
 
     // Eagerly issuing every ready Start would flood the links with the
     // first hops of all chains at once, so the ASAP rule runs under a
@@ -234,62 +295,62 @@ TopDownSchedule(const SchedGraph& graph,
     // hop's Start, which depends on it.
     const int64_t eager_window = std::min<int64_t>(max_in_flight, 6);
     double clock = 0.0;
-    std::unordered_map<const SchedUnit*, double> arrival;
-    while (!ready.empty()) {
-        // Rule 1: issue ready Starts as early as possible.
+    auto drop_emitted_starts = [&]() {
+        while (!starts.empty() &&
+               emitted[static_cast<size_t>(
+                   input[static_cast<size_t>(starts.top())]->id)]) {
+            starts.pop();
+        }
+        while (fifo_head < start_fifo.size() &&
+               emitted[static_cast<size_t>(start_fifo[fifo_head])]) {
+            ++fifo_head;
+        }
+    };
+    while (ready_count > 0) {
+        drop_emitted_starts();
         SchedUnit* pick = nullptr;
-        for (SchedUnit* u : ready) {
-            if (!u->IsAsyncStart() || in_flight >= eager_window) {
-                continue;
-            }
-            if (pick == nullptr || input_pos.at(u) < input_pos.at(pick)) {
-                pick = u;
-            }
+        if (!starts.empty() && in_flight < eager_window) {
+            // Rule 1: issue ready Starts as early as possible.
+            pick = input[static_cast<size_t>(starts.top())];
+            starts.pop();
+        } else if (!dones.empty() &&
+                   (std::get<0>(dones.top()) <= clock || others.empty())) {
+            // Rule 2: release Dones whose transfer has (estimatedly)
+            // landed, earliest arrival first. Rule 4: with no other
+            // work, wait on the oldest outstanding transfer.
+            pick = units[static_cast<size_t>(std::get<2>(dones.top()))]
+                       .get();
+            dones.pop();
+        } else if (!others.empty()) {
+            // Rule 3: other work in input order.
+            pick = input[static_cast<size_t>(others.top())];
+            others.pop();
+        } else {
+            // Budget-blocked Starts: the one that became ready first.
+            pick = units[static_cast<size_t>(start_fifo[fifo_head])].get();
         }
-        // Rule 2: release Dones whose transfer has (estimatedly) landed.
-        if (pick == nullptr) {
-            for (SchedUnit* u : ready) {
-                if (!u->IsAsyncDone()) continue;
-                double arrived = arrival.at(u->operands.front());
-                if (arrived > clock) continue;
-                if (pick == nullptr ||
-                    arrived < arrival.at(pick->operands.front())) {
-                    pick = u;
-                }
-            }
-        }
-        // Rule 3: other work in input order.
-        if (pick == nullptr) {
-            for (SchedUnit* u : ready) {
-                if (u->IsAsyncDone() || u->IsAsyncStart()) continue;
-                if (pick == nullptr ||
-                    input_pos.at(u) < input_pos.at(pick)) {
-                    pick = u;
-                }
-            }
-        }
-        // Rule 4: nothing else — wait on the oldest outstanding transfer.
-        if (pick == nullptr) {
-            for (SchedUnit* u : ready) {
-                if (!u->IsAsyncDone()) continue;
-                if (pick == nullptr ||
-                    arrival.at(u->operands.front()) <
-                        arrival.at(pick->operands.front())) {
-                    pick = u;
-                }
-            }
-        }
-        if (pick == nullptr) pick = ready.front();  // budget-blocked Starts
+        const size_t p = static_cast<size_t>(pick->id);
         if (pick->IsAsyncStart()) {
-            arrival[pick] = clock + pick->transfer_seconds;
+            arrival[p] = clock + pick->transfer_seconds;
         }
         if (pick->IsAsyncDone()) {
-            clock = std::max(clock, arrival.at(pick->operands.front()));
+            clock = std::max(
+                clock,
+                arrival[static_cast<size_t>(pick->operands.front()->id)]);
         }
         clock += pick->latency;
-        emit(pick);
+        emitted[p] = true;
+        --ready_count;
+        order.push_back(pick);
+        if (pick->IsAsyncStart()) ++in_flight;
+        if (pick->IsAsyncDone()) --in_flight;
+        for (const SchedUnit* user : pick->users) {
+            if (--missing[static_cast<size_t>(user->id)] == 0) {
+                make_ready(user);
+            }
+        }
     }
-    OVERLAP_CHECK(order.size() == graph.units().size());
+    OVERLAP_CHECK(order.size() == n);
     return order;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "support/strings.h"
 
@@ -80,12 +79,16 @@ ChannelUsesLink(const Mesh& mesh, int64_t axis, int64_t dir, int64_t src,
  *  - async in-flight budget starvation: a Start issued while every
  *    hardware sync flag is held by a transfer whose Done is scheduled
  *    later (the device can never reach the Done that would free one).
+ * It also rejects (InvalidArgument) any other unit placed before one of
+ * its operand units — e.g. a fusion group split around one of its
+ * operands, which the unit order collapses onto the group's first slot.
+ * `num_units` bounds the units' ids (SchedGraph::units().size()).
  */
 Status
-CheckNoDeadlock(const std::vector<SchedUnit*>& order,
+CheckNoDeadlock(const std::vector<SchedUnit*>& order, size_t num_units,
                 int64_t max_in_flight)
 {
-    std::unordered_set<const SchedUnit*> started;
+    std::vector<bool> placed(num_units, false);
     std::vector<const SchedUnit*> outstanding;
     for (const SchedUnit* unit : order) {
         if (unit->IsAsyncStart()) {
@@ -104,7 +107,6 @@ CheckNoDeadlock(const std::vector<SchedUnit*>& order,
                     "later: ",
                     StrJoin(holders, ", ")));
             }
-            started.insert(unit);
             outstanding.push_back(unit);
         } else if (unit->IsAsyncDone()) {
             if (unit->operands.empty()) {
@@ -114,7 +116,7 @@ CheckNoDeadlock(const std::vector<SchedUnit*>& order,
                     "' has no Start operand"));
             }
             const SchedUnit* start = unit->operands.front();
-            if (started.count(start) == 0) {
+            if (!placed[static_cast<size_t>(start->id)]) {
                 return FailedPrecondition(StrCat(
                     "no progress possible: async Done '",
                     unit->members.front()->name(),
@@ -126,6 +128,15 @@ CheckNoDeadlock(const std::vector<SchedUnit*>& order,
                                           outstanding.end(), start),
                               outstanding.end());
         }
+        for (const SchedUnit* operand : unit->operands) {
+            if (!placed[static_cast<size_t>(operand->id)]) {
+                return InvalidArgument(StrCat(
+                    "unit order places '", unit->members.front()->name(),
+                    "' before its operand '",
+                    operand->members.front()->name(), "'"));
+            }
+        }
+        placed[static_cast<size_t>(unit->id)] = true;
     }
     if (!outstanding.empty()) {
         std::vector<std::string> names;
@@ -234,7 +245,8 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
     std::vector<SchedUnit*> order =
         graph.UnitOrderOf(computation.sequence());
     OVERLAP_RETURN_IF_ERROR(
-        CheckNoDeadlock(order, spec_.max_in_flight_async));
+        CheckNoDeadlock(order, graph.units().size(),
+                        spec_.max_in_flight_async));
 
     // One link channel per (axis, direction); value = busy-until time.
     std::vector<double> channel_free(

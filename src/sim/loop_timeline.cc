@@ -1,6 +1,8 @@
 #include "sim/loop_timeline.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -9,23 +11,6 @@
 
 namespace overlap {
 namespace {
-
-/**
- * One node of the synthetic unit graph the replay executes: a fused
- * compute kernel, a CollectivePermuteStart (channel occupancy + arrival
- * latency) or its Done. Mirrors SchedGraph's units for the loop the
- * emitter would build, without needing the HLO to exist yet.
- */
-struct Unit {
-    enum Kind { kCompute, kStart, kDone };
-    Kind kind = kCompute;
-    double seconds = 0.0;   ///< compute latency
-    double wire = 0.0;      ///< start: total channel occupancy
-    double latency = 0.0;   ///< start: total arrival latency
-    int direction = 0;      ///< start: 0, 1, or -1 (load-balanced)
-    int start = -1;         ///< done: index of its Start
-    std::vector<int> deps;  ///< indices that must complete first
-};
 
 struct Interval {
     double begin = 0.0;
@@ -73,7 +58,7 @@ class UnitBuilder {
     {
     }
 
-    std::vector<Unit> Build()
+    std::vector<ReplayUnit> Build()
     {
         switch (s_.structure) {
           case LoopStructure::kAllGatherUnidirectional:
@@ -107,8 +92,8 @@ class UnitBuilder {
   private:
     int Compute(double seconds, std::vector<int> deps)
     {
-        Unit unit;
-        unit.kind = Unit::kCompute;
+        ReplayUnit unit;
+        unit.kind = ReplayUnit::kCompute;
         unit.seconds = seconds;
         unit.deps = Filter(std::move(deps));
         units_.push_back(std::move(unit));
@@ -118,8 +103,8 @@ class UnitBuilder {
     /** Start + Done pair; returns the Done's index. */
     int Transfer(int hops, int direction, std::vector<int> deps)
     {
-        Unit start;
-        start.kind = Unit::kStart;
+        ReplayUnit start;
+        start.kind = ReplayUnit::kStart;
         start.wire = static_cast<double>(hops) * wire_;
         start.latency =
             static_cast<double>(hops) * s_.hop_latency_seconds;
@@ -127,8 +112,8 @@ class UnitBuilder {
         start.deps = Filter(std::move(deps));
         units_.push_back(std::move(start));
         int start_index = static_cast<int>(units_.size()) - 1;
-        Unit done;
-        done.kind = Unit::kDone;
+        ReplayUnit done;
+        done.kind = ReplayUnit::kDone;
         done.start = start_index;
         done.deps = {start_index};
         units_.push_back(std::move(done));
@@ -525,7 +510,7 @@ class UnitBuilder {
 
     const LoopShape& s_;
     const CalibrationFit& fit_;
-    std::vector<Unit> units_;
+    std::vector<ReplayUnit> units_;
 
     const double wire_ = s_.wire_seconds * fit_.WireScale(s_.structure);
     const double partial_ = s_.partial_seconds * fit_.compute_scale;
@@ -616,13 +601,17 @@ CalibrationFit::ToJson() const
                   ",\"elementwise_scale\":", elementwise_scale, "}");
 }
 
-LoopTimeline
-CalibratedCostModel::Predict(const LoopShape& shape) const
+std::vector<ReplayUnit>
+BuildReplayUnits(const LoopShape& shape, const CalibrationFit& fit)
 {
     OVERLAP_CHECK(shape.ring >= 2);
-    std::vector<Unit> units = UnitBuilder(shape, fit_).Build();
-    size_t count = units.size();
-    std::vector<bool> finished(count, false);
+    return UnitBuilder(shape, fit).Build();
+}
+
+LoopTimeline
+ReplayUnits(const std::vector<ReplayUnit>& units, int64_t max_in_flight)
+{
+    const size_t count = units.size();
     std::vector<double> arrival(count, 0.0);
     std::vector<Interval> in_flight;
     std::vector<Interval> exposed;
@@ -632,13 +621,58 @@ CalibratedCostModel::Predict(const LoopShape& shape) const
     double compute_sum = 0.0;
     size_t completed = 0;
 
-    auto ready = [&](size_t i) {
-        if (finished[i]) return false;
+    // Readiness is tracked incrementally: each unit counts its
+    // unfinished dependencies, and a unit whose count reaches zero joins
+    // its kind's ready heap. Dependencies always precede their users, so
+    // a unit freed while a phase walks its heap in index order has a
+    // higher index than the one that freed it and is still reached in
+    // that phase, exactly as a full index-order rescan would reach it.
+    std::vector<int> missing(count);
+    std::vector<std::vector<int>> users(count);
+    for (size_t i = 0; i < count; ++i) {
+        missing[i] = static_cast<int>(units[i].deps.size());
         for (int dep : units[i].deps) {
-            if (!finished[static_cast<size_t>(dep)]) return false;
+            OVERLAP_CHECK(dep >= 0 && static_cast<size_t>(dep) < i);
+            users[static_cast<size_t>(dep)].push_back(static_cast<int>(i));
         }
-        return true;
+    }
+    using IndexHeap =
+        std::priority_queue<int, std::vector<int>, std::greater<int>>;
+    IndexHeap ready_starts;
+    IndexHeap ready_computes;
+    // Ready Dones by (arrival, index): the earliest arrival is both the
+    // stall target and the first to retire; retiring order among
+    // arrived Dones has no effect on the timeline.
+    std::priority_queue<std::pair<double, int>,
+                        std::vector<std::pair<double, int>>,
+                        std::greater<std::pair<double, int>>>
+        ready_dones;
+    auto make_ready = [&](size_t i) {
+        switch (units[i].kind) {
+          case ReplayUnit::kCompute:
+              ready_computes.push(static_cast<int>(i));
+              break;
+          case ReplayUnit::kStart:
+              ready_starts.push(static_cast<int>(i));
+              break;
+          case ReplayUnit::kDone:
+              ready_dones.push(
+                  {arrival[static_cast<size_t>(units[i].start)],
+                   static_cast<int>(i)});
+              break;
+        }
     };
+    auto finish = [&](size_t i) {
+        ++completed;
+        for (int user : users[i]) {
+            if (--missing[static_cast<size_t>(user)] == 0) {
+                make_ready(static_cast<size_t>(user));
+            }
+        }
+    };
+    for (size_t i = 0; i < count; ++i) {
+        if (missing[i] == 0) make_ready(i);
+    }
 
     // Greedy forward walk of the unit graph under the engine's channel
     // semantics. Priorities mirror the bottom-up scheduler's classes:
@@ -647,7 +681,6 @@ CalibratedCostModel::Predict(const LoopShape& shape) const
     // device stalls on a Done only when nothing else can make progress
     // — retiring the earliest arrival first, as the engine does.
     while (completed < count) {
-        bool progressed = false;
         // Retire every Done whose transfer has already arrived — in
         // the engine a Done past its arrival costs nothing, and its
         // consumers become schedulable immediately. Without this the
@@ -655,61 +688,50 @@ CalibratedCostModel::Predict(const LoopShape& shape) const
         // which delays the transfers they feed and fabricates an
         // exposed tail (the rs-bidirectional epilogue was the worst
         // case: ~40% span over-prediction).
-        for (size_t i = 0; i < count; ++i) {
-            if (units[i].kind != Unit::kDone || !ready(i)) continue;
-            if (arrival[static_cast<size_t>(units[i].start)] > t) continue;
-            finished[i] = true;
-            ++completed;
-            --outstanding;
-            progressed = true;
-        }
-        if (progressed) continue;
-        for (size_t i = 0; i < count; ++i) {
-            if (units[i].kind != Unit::kStart || !ready(i)) continue;
-            if (outstanding >= shape.max_in_flight) break;
-            int direction = units[i].direction;
-            if (direction < 0) {
-                direction = channel[0] <= channel[1] ? 0 : 1;
+        if (!ready_dones.empty() && ready_dones.top().first <= t) {
+            while (!ready_dones.empty() && ready_dones.top().first <= t) {
+                size_t i = static_cast<size_t>(ready_dones.top().second);
+                ready_dones.pop();
+                --outstanding;
+                finish(i);
             }
-            double begin = std::max(t, channel[direction]);
-            channel[direction] = begin + units[i].wire;
-            arrival[i] = channel[direction] + units[i].latency;
-            in_flight.push_back({t, arrival[i]});
-            finished[i] = true;
-            ++completed;
-            ++outstanding;
-            progressed = true;
+            continue;
         }
-        if (progressed) continue;
-        for (size_t i = 0; i < count; ++i) {
-            if (units[i].kind != Unit::kCompute || !ready(i)) continue;
+        if (!ready_starts.empty() && outstanding < max_in_flight) {
+            while (!ready_starts.empty() && outstanding < max_in_flight) {
+                size_t i = static_cast<size_t>(ready_starts.top());
+                ready_starts.pop();
+                int direction = units[i].direction;
+                if (direction < 0) {
+                    direction = channel[0] <= channel[1] ? 0 : 1;
+                }
+                double begin = std::max(t, channel[direction]);
+                channel[direction] = begin + units[i].wire;
+                arrival[i] = channel[direction] + units[i].latency;
+                in_flight.push_back({t, arrival[i]});
+                ++outstanding;
+                finish(i);
+            }
+            continue;
+        }
+        if (!ready_computes.empty()) {
+            size_t i = static_cast<size_t>(ready_computes.top());
+            ready_computes.pop();
             t += units[i].seconds;
             compute_sum += units[i].seconds;
-            finished[i] = true;
-            ++completed;
-            progressed = true;
-            break;
+            finish(i);
+            continue;
         }
-        if (progressed) continue;
-        size_t best = count;
-        double best_arrival = 0.0;
-        for (size_t i = 0; i < count; ++i) {
-            if (units[i].kind != Unit::kDone || !ready(i)) continue;
-            double when = arrival[static_cast<size_t>(units[i].start)];
-            if (best == count || when < best_arrival) {
-                best = i;
-                best_arrival = when;
-            }
-        }
-        OVERLAP_CHECK(best < count);  // graph acyclic by construction
-        double when = best_arrival;
+        OVERLAP_CHECK(!ready_dones.empty());  // graph acyclic by construction
+        double when = ready_dones.top().first;
+        size_t best = static_cast<size_t>(ready_dones.top().second);
+        ready_dones.pop();
         if (when > t) {
             exposed.push_back({t, when});
             t = when;
         }
-        finished[best] = true;
-        ++completed;
         --outstanding;
+        finish(best);
     }
 
     LoopTimeline timeline;
@@ -718,6 +740,12 @@ CalibratedCostModel::Predict(const LoopShape& shape) const
     timeline.wire_seconds = UnionMeasure(std::move(in_flight));
     timeline.exposed_seconds = UnionMeasure(std::move(exposed));
     return timeline;
+}
+
+LoopTimeline
+CalibratedCostModel::Predict(const LoopShape& shape) const
+{
+    return ReplayUnits(BuildReplayUnits(shape, fit_), shape.max_in_flight);
 }
 
 }  // namespace overlap

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace overlap {
 
@@ -146,6 +147,42 @@ struct CalibrationFit {
 
     std::string ToJson() const;
 };
+
+/**
+ * One node of the synthetic unit graph the replay executes: a fused
+ * compute kernel, a CollectivePermuteStart (channel occupancy + arrival
+ * latency) or its Done. Mirrors SchedGraph's units for the loop the
+ * emitter would build, without needing the HLO to exist yet.
+ */
+struct ReplayUnit {
+    enum Kind { kCompute, kStart, kDone };
+    Kind kind = kCompute;
+    double seconds = 0.0;   ///< compute latency
+    double wire = 0.0;      ///< start: total channel occupancy
+    double latency = 0.0;   ///< start: total arrival latency
+    int direction = 0;      ///< start: 0, 1, or -1 (load-balanced)
+    int start = -1;         ///< done: index of its Start
+    std::vector<int> deps;  ///< indices that must complete first
+};
+
+/**
+ * The unit graph of `shape`'s loop under `fit`, in emission order:
+ * every dependency index is below its user's, and a Done depends on
+ * exactly its own Start.
+ */
+std::vector<ReplayUnit> BuildReplayUnits(const LoopShape& shape,
+                                         const CalibrationFit& fit);
+
+/**
+ * Replays a unit graph (in the form BuildReplayUnits emits) greedily
+ * under the engine's channel semantics with at most `max_in_flight`
+ * transfers outstanding. Each step retires every Done whose transfer
+ * has arrived, else issues every ready Start the budget allows, else
+ * runs the first ready compute kernel, else waits on the earliest
+ * arrival; "first" is by unit index throughout.
+ */
+LoopTimeline ReplayUnits(const std::vector<ReplayUnit>& units,
+                         int64_t max_in_flight);
 
 /**
  * The calibrated §5.5 cost model: replays a LoopShape's dependency

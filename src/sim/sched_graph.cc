@@ -1,7 +1,6 @@
 #include "sim/sched_graph.h"
 
 #include <algorithm>
-#include <map>
 
 #include "support/status.h"
 
@@ -10,27 +9,22 @@ namespace overlap {
 SchedGraph::SchedGraph(const HloComputation& computation,
                        const CostModel& cost)
 {
-    // Map fusion groups to units; singletons get their own.
-    std::map<int64_t, SchedUnit*> group_units;
+    // One unit per fusion group, created at the group's first member
+    // (the group's leader); singletons lead themselves.
+    const std::vector<int64_t> leaders = computation.FusionGroupLeaders();
+    unit_of_.assign(leaders.size(), nullptr);
     int64_t next_id = 0;
     for (HloInstruction* instr : computation.instructions()) {
-        SchedUnit* unit = nullptr;
-        int64_t group = instr->fusion_group();
-        if (group >= 0) {
-            auto it = group_units.find(group);
-            if (it != group_units.end()) {
-                unit = it->second;
-            }
-        }
+        const int64_t leader = leaders[static_cast<size_t>(instr->id())];
+        SchedUnit* unit = unit_of_[static_cast<size_t>(leader)];
         if (unit == nullptr) {
             units_.push_back(std::make_unique<SchedUnit>());
             unit = units_.back().get();
             unit->id = next_id++;
-            if (group >= 0) group_units[group] = unit;
         }
         unit->members.push_back(instr);
         if (instr->loop_group() >= 0) unit->loop_group = instr->loop_group();
-        unit_of_[instr] = unit;
+        unit_of_[static_cast<size_t>(instr->id())] = unit;
     }
 
     // Latencies: fused element-wise members are discounted.
@@ -66,7 +60,8 @@ SchedGraph::SchedGraph(const HloComputation& computation,
     for (const auto& unit : units_) {
         for (const HloInstruction* instr : unit->members) {
             for (HloInstruction* operand : instr->operands()) {
-                SchedUnit* producer = unit_of_.at(operand);
+                SchedUnit* producer =
+                    unit_of_[static_cast<size_t>(operand->id())];
                 if (producer == unit.get()) continue;
                 if (std::find(unit->operands.begin(), unit->operands.end(),
                               producer) == unit->operands.end()) {
@@ -93,12 +88,12 @@ std::vector<SchedUnit*>
 SchedGraph::UnitOrderOf(const std::vector<HloInstruction*>& sequence) const
 {
     std::vector<SchedUnit*> order;
-    order.reserve(sequence.size());
-    std::unordered_map<const SchedUnit*, bool> seen;
+    order.reserve(units_.size());
+    std::vector<bool> seen(units_.size(), false);
     for (const HloInstruction* instr : sequence) {
-        SchedUnit* unit = unit_of_.at(instr);
-        if (!seen[unit]) {
-            seen[unit] = true;
+        SchedUnit* unit = unit_of(instr);
+        if (!seen[static_cast<size_t>(unit->id)]) {
+            seen[static_cast<size_t>(unit->id)] = true;
             order.push_back(unit);
         }
     }

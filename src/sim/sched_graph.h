@@ -2,7 +2,7 @@
 #define OVERLAP_SIM_SCHED_GRAPH_H_
 
 #include <memory>
-#include <unordered_map>
+#include <stdexcept>
 #include <vector>
 
 #include "hlo/computation.h"
@@ -18,6 +18,8 @@ namespace overlap {
  * paper's fusion heuristic manipulates.
  */
 struct SchedUnit {
+    /// Index in SchedGraph::units() (creation order, i.e. the order of
+    /// each unit's first member), so per-unit data can live in vectors.
     int64_t id = 0;
     /// Members in computation order (singletons have exactly one).
     std::vector<HloInstruction*> members;
@@ -84,9 +86,12 @@ class SchedGraph {
     {
         return units_;
     }
+    /** Throws std::out_of_range for an instruction not in the graph. */
     SchedUnit* unit_of(const HloInstruction* instr) const
     {
-        return unit_of_.at(instr);
+        SchedUnit* unit = unit_of_.at(static_cast<size_t>(instr->id()));
+        if (unit == nullptr) throw std::out_of_range("not in the graph");
+        return unit;
     }
 
     /**
@@ -99,14 +104,16 @@ class SchedGraph {
     /**
      * Groups a computation's sequence into unit order (first occurrence
      * of each unit wins; members must be contiguous per unit for a valid
-     * kernel schedule, which all schedulers in this library produce).
+     * kernel schedule, which all schedulers in this library produce and
+     * VerifyComputation enforces on attached schedules).
      */
     std::vector<SchedUnit*> UnitOrderOf(
         const std::vector<HloInstruction*>& sequence) const;
 
   private:
     std::vector<std::unique_ptr<SchedUnit>> units_;
-    std::unordered_map<const HloInstruction*, SchedUnit*> unit_of_;
+    /// Indexed by instruction id (HloComputation::id_bound()).
+    std::vector<SchedUnit*> unit_of_;
 };
 
 }  // namespace overlap

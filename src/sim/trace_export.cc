@@ -137,7 +137,8 @@ UnifiedTraceToChromeJson(const UnifiedTrace& trace)
                        ",\"instructions_after\":",
                        pass.instructions_after,
                        ",\"instruction_delta\":",
-                       pass.instruction_delta(), "}"));
+                       pass.instruction_delta(), ",\"guard_seconds\":",
+                       pass.guard_seconds, "}"));
         }
     }
     if (trace.sim != nullptr) {

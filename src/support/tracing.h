@@ -15,8 +15,13 @@ namespace overlap {
  */
 struct PassTiming {
     std::string pass_name;
+    /// The pass itself (`pass.run()`), excluding its guard.
     double start_seconds = 0.0;
     double end_seconds = 0.0;
+    /// The guard around the pass: the pre-pass snapshot (module clone
+    /// and report copy) plus the post-pass VerifyModule. Outside
+    /// [start_seconds, end_seconds].
+    double guard_seconds = 0.0;
     int64_t instructions_before = 0;
     int64_t instructions_after = 0;
 

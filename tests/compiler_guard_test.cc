@@ -16,6 +16,7 @@
 #include "models/fault_presets.h"
 #include "sim/engine.h"
 #include "sim/fault_model.h"
+#include "support/tracing.h"
 
 namespace overlap {
 namespace {
@@ -66,6 +67,28 @@ TEST(CompilerGuardTest, CleanCompileHasNoDiagnostics)
     ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->pass_diagnostics.empty());
     EXPECT_TRUE(VerifyModule(*module).ok());
+}
+
+TEST(CompilerGuardTest, GuardTimeIsChargedAndFitsInTheCompile)
+{
+    // Pass time plus guard time (snapshot + verify) is disjoint wall
+    // time inside Compile, on clean compiles and through a rollback.
+    for (bool corrupt : {false, true}) {
+        auto module = BuildModule();
+        CompilerOptions options;
+        if (corrupt) options.extra_passes.push_back(CorruptingPass());
+        const double begin = NowSeconds();
+        auto report = OverlapCompiler(options).Compile(module.get());
+        const double wall = NowSeconds() - begin;
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        double charged = 0.0;
+        for (const PassTiming& timing : report->pass_timings) {
+            EXPECT_GE(timing.seconds(), 0.0) << timing.pass_name;
+            EXPECT_GT(timing.guard_seconds, 0.0) << timing.pass_name;
+            charged += timing.seconds() + timing.guard_seconds;
+        }
+        EXPECT_LE(charged, wall) << "corrupt=" << corrupt;
+    }
 }
 
 TEST(CompilerGuardTest, InvalidHloIsCaughtRolledBackAndReported)

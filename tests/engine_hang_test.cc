@@ -12,6 +12,7 @@
 
 #include "hlo/builder.h"
 #include "hlo/module.h"
+#include "passes/fusion.h"
 #include "sim/engine.h"
 
 namespace overlap {
@@ -114,6 +115,43 @@ TEST(EngineHangTest, AsyncBudgetStarvationIsDiagnosed)
     auto ok = simulator.Run(*module);
     ASSERT_TRUE(ok.ok()) << ok.status().ToString();
     EXPECT_EQ(ok->peak_in_flight, 1);
+}
+
+TEST(EngineHangTest, SplitFusionGroupIsRejected)
+{
+    // The Figure 11 module with e0 and the Add fused (default
+    // heuristic), scheduled e0 ... e1 ... add. The unit order collapses
+    // the fused kernel onto e0's slot, ahead of its operand e1; the
+    // engine must refuse to time an order no device can run.
+    Mesh mesh(2);
+    auto module = std::make_unique<HloModule>("fig11");
+    module->set_mesh(mesh);
+    HloComputation* comp = module->AddEntryComputation("main");
+    HloBuilder b(comp);
+    auto* a = b.Parameter(0, Shape(DType::kBF16, {64, 64}), "a");
+    auto* w = b.Parameter(1, Shape(DType::kBF16, {64, 64}), "w");
+    auto* start = b.CollectivePermuteStart(a, mesh.RingShift(0, 1));
+    auto* done = b.CollectivePermuteDone(start);
+    auto* e0 = b.Einsum(a, w, "mk,kn->mn");
+    auto* e1 = b.Einsum(done, w, "mk,kn->mn");
+    auto* add = b.Add(e0, e1);
+    comp->set_root(add);
+    ASSERT_TRUE(RunFusionPass(comp, FusionHeuristic::kDefault).ok());
+    ASSERT_EQ(e0->fusion_group(), add->fusion_group());
+    comp->set_schedule({a, w, start, e0, done, e1, add});
+
+    PodSimulator simulator(mesh, HardwareSpec());
+    auto result = simulator.Run(*module);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find(e1->name()),
+              std::string::npos)
+        << result.status().ToString();
+
+    // Keeping the group contiguous after e1 simulates.
+    comp->set_schedule({a, w, start, done, e1, e0, add});
+    auto ok = simulator.Run(*module);
+    EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 }
 
 /** A ring-permute program plus a fault spec that fails every transfer

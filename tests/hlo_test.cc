@@ -3,6 +3,7 @@
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "hlo/verifier.h"
+#include "passes/fusion.h"
 
 namespace overlap {
 namespace {
@@ -126,6 +127,58 @@ TEST(VerifierTest, CatchesBadSchedule)
     EXPECT_FALSE(VerifyComputation(*comp).ok());
     comp->set_schedule({p, n});
     EXPECT_TRUE(VerifyComputation(*comp).ok());
+}
+
+TEST(VerifierTest, CatchesScheduleSplittingAFusionGroup)
+{
+    // The Figure 11 module (fusion_test): the default heuristic fuses
+    // the independent einsum e0 with the Add that also reads e1.
+    HloModule module("fig11");
+    module.set_mesh(Mesh(2));
+    HloComputation* comp = module.AddEntryComputation("main");
+    HloBuilder b(comp);
+    auto* a = b.Parameter(0, Shape(DType::kBF16, {64, 64}));
+    auto* w = b.Parameter(1, Shape(DType::kBF16, {64, 64}));
+    auto* start = b.CollectivePermuteStart(a, Mesh(2).RingShift(0, 1));
+    auto* done = b.CollectivePermuteDone(start);
+    auto* e0 = b.Einsum(a, w, "mk,kn->mn");
+    auto* e1 = b.Einsum(done, w, "mk,kn->mn");
+    auto* add = b.Add(e0, e1);
+    comp->set_root(add);
+    ASSERT_TRUE(RunFusionPass(comp, FusionHeuristic::kDefault).ok());
+    ASSERT_GE(add->fusion_group(), 0);
+    ASSERT_EQ(e0->fusion_group(), add->fusion_group());
+
+    // e0 ... e1 ... add: the fused kernel would have to run before and
+    // after e1 at once.
+    comp->set_schedule({a, w, start, e0, done, e1, add});
+    Status split = VerifyModule(module);
+    EXPECT_EQ(split.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(split.message().find("splits fusion group"),
+              std::string::npos)
+        << split.message();
+    EXPECT_NE(split.message().find(add->name()), std::string::npos);
+
+    comp->set_schedule({a, w, start, done, e1, e0, add});
+    EXPECT_TRUE(VerifyModule(module).ok());
+}
+
+TEST(VerifierTest, CatchesScheduleNamingAForeignInstruction)
+{
+    HloModule module("m");
+    HloComputation* comp = module.AddEntryComputation("main");
+    HloBuilder b(comp);
+    auto* p = b.Parameter(0, Shape({2}));
+    comp->set_root(b.Negate(p));
+    HloComputation other("other");
+    HloBuilder ob(&other);
+    auto* q = ob.Parameter(0, Shape({2}));
+    comp->set_schedule({p, q});
+    Status foreign = VerifyComputation(*comp);
+    EXPECT_EQ(foreign.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(foreign.message().find("not in the computation"),
+              std::string::npos)
+        << foreign.message();
 }
 
 TEST(VerifierTest, CatchesGroupsThatDoNotTileTheMesh)

@@ -126,6 +126,8 @@ TEST(TraceGoldenTest, CompilerLaneListsPipelinePassesInOrder)
     std::string json = UnifiedTraceToChromeJson(unified);
     EXPECT_NE(json.find("\"compiler\""), std::string::npos);
     EXPECT_NE(json.find("\"simulator:"), std::string::npos);
+    // Each pass span carries its guard (snapshot + verify) time.
+    EXPECT_NE(json.find("\"guard_seconds\":"), std::string::npos);
 }
 
 TEST(TraceGoldenTest, SimulatorEventsAreWellFormed)
