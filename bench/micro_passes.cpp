@@ -57,21 +57,30 @@ BM_DecomposeLoop(benchmark::State& state)
 }
 BENCHMARK(BM_DecomposeLoop)->Arg(4)->Arg(16)->Arg(64);
 
+/**
+ * Model build plus the whole pipeline on a layer step: first argument
+ * 0 is GPT_32B, 1 is GPT_1T; the second turns the pass guard
+ * (CompilerOptions::guard_passes) on or off, so the guard's cost is the
+ * difference of the two rows.
+ */
 void
 BM_FullPipelineOnLayerStep(benchmark::State& state)
 {
     const ModelConfig* config = FindModel(
         state.range(0) == 0 ? "GPT_32B" : "GPT_1T");
     CompilerOptions options;
+    options.guard_passes = state.range(1) != 0;
     for (auto _ : state) {
         auto module = BuildLayerStepModule(*config);
         OverlapCompiler compiler(options);
         auto report = compiler.Compile(module->get());
         benchmark::DoNotOptimize(report);
     }
-    state.SetLabel(config->name);
+    state.SetLabel(config->name +
+                   (options.guard_passes ? " guard=on" : " guard=off"));
 }
-BENCHMARK(BM_FullPipelineOnLayerStep)->Arg(0)->Arg(1)
+BENCHMARK(BM_FullPipelineOnLayerStep)
+    ->ArgsProduct({{0, 1}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
 /**

@@ -36,6 +36,12 @@ OverlapCompiler::Compile(HloModule* module) const
             "compile needs a per-device module with a mesh");
     }
     OVERLAP_RETURN_IF_ERROR(VerifyModule(*module));
+    // The guard's one snapshot, taken before decompose unrolls any
+    // loop into the entry. Clone keeps ids and group counters and the
+    // passes are deterministic, so replaying the clean passes on a
+    // clone of it rebuilds any later pre-pass state exactly.
+    std::unique_ptr<HloComputation> input;
+    if (options_.guard_passes) input = module->entry()->Clone();
     CostModel cost(options_.hardware);
     FaultModel fault(options_.fault);
     CompileReport report;
@@ -105,19 +111,14 @@ OverlapCompiler::Compile(HloModule* module) const
         MetricsRegistry::Global().counter("compiler.passes_run");
     Histogram* pass_seconds =
         MetricsRegistry::Global().histogram("compiler.pass_seconds");
+    // Passes that ran clean, in pipeline order: replaying them on a
+    // clone of `input` rebuilds the state before any later pass.
+    std::vector<const PipelinePass*> applied;
     for (const PipelinePass& pass : pipeline) {
-        const double snapshot_start = NowSeconds();
-        std::unique_ptr<HloComputation> snapshot;
-        CompileReport report_snapshot;
-        if (options_.guard_passes) {
-            snapshot = module->entry()->Clone();
-            report_snapshot = report;
-        }
         PassTiming timing;
         timing.pass_name = pass.name;
         const double pass_start = NowSeconds();
         timing.start_seconds = pass_start - compile_start;
-        timing.guard_seconds = pass_start - snapshot_start;
         timing.instructions_before = module->entry()->instruction_count();
         Status status = pass.run();
         const double pass_end = NowSeconds();
@@ -126,18 +127,34 @@ OverlapCompiler::Compile(HloModule* module) const
         passes_run->Add();
         if (MetricsEnabled()) pass_seconds->Record(timing.seconds());
         if (status.ok()) status = VerifyModule(*module);
-        timing.guard_seconds += NowSeconds() - pass_end;
-        report.pass_timings.push_back(timing);
-        if (status.ok()) continue;
+        if (status.ok()) {
+            applied.push_back(&pass);
+            timing.guard_seconds = NowSeconds() - pass_end;
+            report.pass_timings.push_back(std::move(timing));
+            continue;
+        }
         if (!options_.guard_passes) return status;
-        // The pass errored or emitted invalid HLO: restore the pre-pass
-        // snapshot (module and report), disable the pass for this
-        // module, and surface a structured diagnostic instead of a
-        // broken module.
-        module->ReplaceEntry(std::move(snapshot));
-        report = std::move(report_snapshot);
-        // The report rolled back to its pre-pass state; keep the failed
-        // pass's timing so the trace still shows where time went.
+        // The pass errored or emitted invalid HLO: rebuild the pre-pass
+        // state (module and report) from the input snapshot, disable the
+        // pass for this module, and surface a structured diagnostic
+        // instead of a broken module. The report keeps its timings and
+        // diagnostics; the replayed passes rewrite everything else.
+        module->ReplaceEntry(input->Clone());
+        CompileReport replayed;
+        replayed.pass_timings = std::move(report.pass_timings);
+        replayed.pass_diagnostics = std::move(report.pass_diagnostics);
+        report = std::move(replayed);
+        for (const PipelinePass* earlier : applied) {
+            Status replay = earlier->run();
+            if (replay.ok()) replay = VerifyModule(*module);
+            if (!replay.ok()) {
+                return Internal(StrCat(
+                    "guarded pipeline: pass '", earlier->name,
+                    "' diverged on replay after rolling back '", pass.name,
+                    "': ", replay.ToString()));
+            }
+        }
+        timing.guard_seconds = NowSeconds() - pass_end;
         report.pass_timings.push_back(std::move(timing));
         PassDiagnostic diagnostic;
         diagnostic.pass_name = pass.name;
@@ -149,7 +166,6 @@ OverlapCompiler::Compile(HloModule* module) const
         report.pass_diagnostics.push_back(std::move(diagnostic));
     }
 
-    OVERLAP_RETURN_IF_ERROR(VerifyModule(*module));
     return report;
 }
 

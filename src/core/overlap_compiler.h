@@ -20,6 +20,14 @@ namespace overlap {
  * fusion. Used by tests (fault/rollback injection) and as an extension
  * point; injected passes run under the same post-pass verification and
  * rollback guard as the built-in ones.
+ *
+ * `run` must be a deterministic function of the module it is given:
+ * a rollback rebuilds the pre-pass state by replaying every earlier
+ * pass on a clone of the input, so a pass that behaves differently on
+ * the replay would change the module behind the guard's back. Compile
+ * detects a replayed pass that fails and returns an Internal error
+ * naming it; a replay that succeeds with a different result is not
+ * detected.
  */
 struct InjectedPass {
     std::string name;
@@ -66,10 +74,12 @@ struct CompilerOptions {
 
     /**
      * Guarded pipeline: verify the module after every pass and, on
-     * failure, roll back to the pre-pass snapshot, skip the offending
+     * failure, roll back to the pre-pass state, skip the offending
      * pass and record a structured diagnostic instead of propagating a
-     * broken module. When false a failing pass aborts compilation with
-     * its Status (the pre-guard behavior).
+     * broken module. The rollback restores the one snapshot Compile
+     * takes of its input and replays the passes that ran clean. When
+     * false a failing pass aborts compilation with its Status (the
+     * pre-guard behavior) and no snapshot is taken.
      */
     bool guard_passes = true;
 
@@ -128,7 +138,12 @@ struct CompileReport {
  * Every pass runs under a verification guard (see
  * CompilerOptions::guard_passes): a pass that emits invalid HLO is
  * rolled back and reported in CompileReport::pass_diagnostics rather
- * than poisoning downstream passes or the simulator.
+ * than poisoning downstream passes or the simulator. The guard clones
+ * the verified input entry once; a rollback replaces the entry with a
+ * clone of that snapshot and re-runs, with verification, every earlier
+ * pass that was not disabled. If a replayed pass fails, Compile returns
+ * an Internal error naming it and the module's contents are
+ * unspecified.
  */
 class OverlapCompiler {
   public:

@@ -31,8 +31,8 @@ class HloComputation {
      * Deep copy: clones every instruction (preserving ids, names,
      * fusion/loop groups and shardings), the root, an attached schedule
      * and the group-id counters. Used by the guarded pass pipeline to
-     * snapshot a module before a pass and roll back if the pass emits
-     * an invalid graph.
+     * snapshot its input and, when a pass emits an invalid graph, to
+     * restore that snapshot before replaying the earlier passes.
      */
     std::unique_ptr<HloComputation> Clone() const;
 

@@ -30,7 +30,7 @@ class HloModule {
 
     /**
      * Swaps in a replacement entry computation and returns it; used by
-     * the guarded pass pipeline to roll back to a pre-pass snapshot.
+     * the guarded pass pipeline to restore its input snapshot.
      * Every HloInstruction* into the old entry is invalidated.
      */
     HloComputation* ReplaceEntry(std::unique_ptr<HloComputation> entry);

@@ -18,9 +18,10 @@ struct PassTiming {
     /// The pass itself (`pass.run()`), excluding its guard.
     double start_seconds = 0.0;
     double end_seconds = 0.0;
-    /// The guard around the pass: the pre-pass snapshot (module clone
-    /// and report copy) plus the post-pass VerifyModule. Outside
-    /// [start_seconds, end_seconds].
+    /// The guard after the pass: its post-pass VerifyModule, plus, when
+    /// the pass is rolled back, the restore and the replay of the
+    /// earlier passes. Outside [start_seconds, end_seconds]. Compile's
+    /// one input snapshot belongs to no pass: it is Compile self time.
     double guard_seconds = 0.0;
     int64_t instructions_before = 0;
     int64_t instructions_after = 0;

@@ -1,19 +1,24 @@
 /**
  * @file
  * Guarded pass pipeline: a pass that emits invalid HLO or returns an
- * error Status is rolled back to the pre-pass snapshot, disabled, and
- * reported as a structured PassDiagnostic -- compilation proceeds and
- * the final module is exactly what the healthy pipeline produces.
+ * error Status is rolled back to its pre-pass state (the input snapshot
+ * plus a replay of the earlier passes), disabled, and reported as a
+ * structured PassDiagnostic -- compilation proceeds and the final
+ * module is exactly what the healthy pipeline produces.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/overlap_compiler.h"
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "hlo/verifier.h"
 #include "models/fault_presets.h"
+#include "models/model_config.h"
+#include "models/step_builder.h"
 #include "sim/engine.h"
 #include "sim/fault_model.h"
 #include "support/tracing.h"
@@ -71,8 +76,9 @@ TEST(CompilerGuardTest, CleanCompileHasNoDiagnostics)
 
 TEST(CompilerGuardTest, GuardTimeIsChargedAndFitsInTheCompile)
 {
-    // Pass time plus guard time (snapshot + verify) is disjoint wall
-    // time inside Compile, on clean compiles and through a rollback.
+    // Pass time plus guard time (verify, and restore + replay on a
+    // rollback) is disjoint wall time inside Compile, on clean compiles
+    // and through a rollback.
     for (bool corrupt : {false, true}) {
         auto module = BuildModule();
         CompilerOptions options;
@@ -190,7 +196,7 @@ TEST(CompilerGuardTest, ValidInjectedPassRunsThroughTheGuard)
 TEST(CompilerGuardTest, RollbackPreservesEarlierPassResults)
 {
     // The decompose stats gathered before the broken pass must survive
-    // its rollback (the report snapshot restores, then keeps, them).
+    // its rollback (the replay of decompose rewrites them).
     auto module = BuildModule();
     CompilerOptions options;
     options.decompose.use_cost_model = false;
@@ -200,6 +206,118 @@ TEST(CompilerGuardTest, RollbackPreservesEarlierPassResults)
     EXPECT_EQ(report->decompose.total_decomposed(), 1);
     EXPECT_GT(report->async_permutes, 0);
     ASSERT_EQ(report->pass_diagnostics.size(), 1u);
+}
+
+/** Instruction names of the attached schedule, in order. */
+std::vector<std::string>
+ScheduleNames(const HloComputation& comp)
+{
+    std::vector<std::string> names;
+    for (const HloInstruction* instr : comp.sequence()) {
+        names.push_back(instr->name());
+    }
+    return names;
+}
+
+TEST(CompilerGuardTest, RollbackIsExactAtPaperScale)
+{
+    // Every distinct Table 1 + Table 2 model, compiled clean and with a
+    // corrupting pass after the overlap rewrites: the rollback restores
+    // the input snapshot and replays decompose, async-permute creation
+    // and the concat rewrites on the unrolled paper-scale loops, and
+    // must land on the clean compile exactly.
+    std::vector<ModelConfig> models;
+    for (const auto& table : {Table1Models(), Table2GptModels()}) {
+        for (const ModelConfig& config : table) {
+            bool seen = false;
+            for (const ModelConfig& m : models) seen |= m.name == config.name;
+            if (!seen) models.push_back(config);
+        }
+    }
+    ASSERT_EQ(models.size(), 11u);
+    CompilerOptions broken;
+    broken.extra_passes.push_back(CorruptingPass());
+    for (const ModelConfig& config : models) {
+        SCOPED_TRACE(config.name);
+        auto clean_module = BuildLayerStepModule(config);
+        auto guarded_module = BuildLayerStepModule(config);
+        ASSERT_TRUE(clean_module.ok() && guarded_module.ok());
+        HloModule& clean = **clean_module;
+        HloModule& guarded = **guarded_module;
+        auto clean_report = OverlapCompiler(CompilerOptions{}).Compile(&clean);
+        auto guarded_report = OverlapCompiler(broken).Compile(&guarded);
+        ASSERT_TRUE(clean_report.ok()) << clean_report.status().ToString();
+        ASSERT_TRUE(guarded_report.ok())
+            << guarded_report.status().ToString();
+
+        ASSERT_EQ(guarded_report->pass_diagnostics.size(), 1u);
+        EXPECT_EQ(guarded_report->pass_diagnostics[0].pass_name,
+                  "corrupt-shapes");
+        EXPECT_TRUE(clean_report->pass_diagnostics.empty());
+
+        EXPECT_EQ(guarded.entry()->ToString(), clean.entry()->ToString());
+        EXPECT_EQ(ScheduleNames(*guarded.entry()),
+                  ScheduleNames(*clean.entry()));
+
+        const DecomposeStats& want = clean_report->decompose;
+        const DecomposeStats& got = guarded_report->decompose;
+        EXPECT_GT(want.total_decomposed(), 0);
+        EXPECT_EQ(got.allgather_sites, want.allgather_sites);
+        EXPECT_EQ(got.reduce_scatter_sites, want.reduce_scatter_sites);
+        EXPECT_EQ(got.all_to_all_sites, want.all_to_all_sites);
+        EXPECT_EQ(got.rejected_by_cost_model, want.rejected_by_cost_model);
+        EXPECT_EQ(got.skipped_unsupported, want.skipped_unsupported);
+        EXPECT_EQ(got.fault_fallbacks, want.fault_fallbacks);
+        EXPECT_EQ(got.fault_lowered, want.fault_lowered);
+        ASSERT_EQ(got.decisions.size(), want.decisions.size());
+        for (size_t i = 0; i < want.decisions.size(); ++i) {
+            const SiteDecision& w = want.decisions[i];
+            const SiteDecision& g = got.decisions[i];
+            EXPECT_EQ(g.collective, w.collective);
+            EXPECT_EQ(g.einsum, w.einsum);
+            EXPECT_EQ(g.decomposed, w.decomposed);
+            EXPECT_EQ(g.lowered_to_unidirectional,
+                      w.lowered_to_unidirectional);
+            EXPECT_EQ(g.reason, w.reason);
+        }
+        EXPECT_EQ(guarded_report->async_permutes, clean_report->async_permutes);
+        EXPECT_EQ(guarded_report->concat_rewrites,
+                  clean_report->concat_rewrites);
+        EXPECT_EQ(guarded_report->fusion_groups, clean_report->fusion_groups);
+
+        PodSimulator simulator(config.mesh(), HardwareSpec());
+        auto clean_run = simulator.Run(clean);
+        auto guarded_run = simulator.Run(guarded);
+        ASSERT_TRUE(clean_run.ok() && guarded_run.ok());
+        EXPECT_EQ(guarded_run->step_seconds, clean_run->step_seconds);
+    }
+}
+
+TEST(CompilerGuardTest, ReplayDivergenceIsAnInternalError)
+{
+    // A pass that succeeds on its first run and fails when the guard
+    // replays it (a stateful pass, which InjectedPass forbids): the
+    // rollback of the corrupting pass after it cannot rebuild the
+    // pre-pass state, so Compile must say so rather than hand back a
+    // module that differs from the pipeline's.
+    int runs = 0;
+    InjectedPass flaky = {"succeeds-once", [&runs](HloModule*) -> Status {
+                              return ++runs == 1
+                                         ? Status::Ok()
+                                         : Internal("replayed run differs");
+                          }};
+    auto module = BuildModule();
+    CompilerOptions options;
+    options.extra_passes.push_back(flaky);
+    options.extra_passes.push_back(CorruptingPass());
+    auto report = OverlapCompiler(options).Compile(module.get());
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInternal);
+    const std::string message = report.status().message();
+    EXPECT_NE(message.find("'succeeds-once'"), std::string::npos) << message;
+    EXPECT_NE(message.find("'corrupt-shapes'"), std::string::npos)
+        << message;
+    EXPECT_EQ(runs, 2);
 }
 
 // ---------------------------------------------------------------------------
