@@ -3,7 +3,8 @@
 # in a separate build tree and runs the full test suite under them,
 # then builds a ThreadSanitizer tree and runs the concurrency tests
 # (thread pool, buffer pool, pooled EvaluateBatch/difftest, metrics
-# registry) under it.
+# registry) under it. The repository benchmark's own tests run in a
+# third, unsanitized Release tree (<build-dir>-perfbench).
 #
 # Usage: scripts/check_sanitize.sh [build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -63,19 +64,12 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 "${build_dir}/src/difftest/difftest_runner" --only-case a2a \
     --cases 512 > /dev/null
 
-# Quick perf baseline under ASan (numbers are meaningless when
-# sanitized, but the bit-identical / byte-identical cross-checks and
-# the allocation accounting must hold).
-"${repo_root}/scripts/perf_baseline.sh" --quick \
-    --build-dir "${build_dir}" --out "${build_dir}/BENCH_perf.json" \
-    > /dev/null
-
-# Perf regression gate against the committed BENCH_perf.json: fails on
-# a >20% throughput drop, and unconditionally re-checks the
-# bit-identical / byte-identical flags. Uses the unsanitized
-# RelWithDebInfo tree (sanitized timings are meaningless); the
-# throughput comparison auto-skips on degenerate single-core boxes.
-"${repo_root}/scripts/perf_baseline.sh" --quick --check
+# The repository benchmark's own tests (perfbench/, Release build):
+# workload cycles, metric plumbing and the BENCHMARK.json contract.
+# Timing regressions are gated by the benchmark runs themselves, not
+# here.
+CARGO_TARGET_DIR="${build_dir}-perfbench" \
+    python3 "${repo_root}/perfbench/run.py" --test
 
 # Overlap-report prediction-error gate under ASan (DESIGN.md §15):
 # every gate-accepted site must simulate an actual speedup >= 1 -

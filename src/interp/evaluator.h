@@ -138,8 +138,8 @@ StatusOr<Tensor> EvaluateGlobal(const HloComputation& computation,
                                 const std::vector<Tensor>& params);
 
 /**
- * Wall-clock seconds an evaluation spent in its two hot phases, for the
- * perf baseline's breakdown (allocation time is accounted separately by
+ * Wall-clock seconds an evaluation spent in its two hot phases, for
+ * perfbench's traced breakdown (allocation time is accounted separately by
  * the buffer pool; see SetAllocTimingEnabled).
  */
 struct EvalPhaseSeconds {
@@ -151,8 +151,8 @@ struct EvalPhaseSeconds {
 
 /**
  * Turns per-phase wall-clock accounting on. Off by default: the timers
- * read the clock in the evaluator hot path, so only the perf baseline
- * enables them.
+ * read the clock in the evaluator hot path, so only traced perfbench
+ * runs enable them.
  */
 void SetEvalPhaseTimingEnabled(bool enabled);
 

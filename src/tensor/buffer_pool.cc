@@ -5,7 +5,13 @@
 #include <chrono>
 
 #include "support/strings.h"
-#include "tensor/arena.h"
+
+#ifdef OVERLAP_SANITIZE
+#include <mutex>
+#include <unordered_set>
+
+#include "support/status.h"
+#endif
 
 namespace overlap {
 
@@ -47,9 +53,8 @@ ConsumeAllocSeconds()
 std::string
 BufferPool::Stats::ToString() const
 {
-    return StrCat("hits=", hits, " misses=", misses,
-                  " arena_hits=", arena_hits, " pooled=", pooled,
-                  " dropped=", dropped, " flushed=", flushed);
+    return StrCat("hits=", hits, " misses=", misses, " pooled=", pooled,
+                  " dropped=", dropped);
 }
 
 int
@@ -64,19 +69,48 @@ BufferPool::BucketFor(size_t n)
     return bucket;
 }
 
-BufferPool::~BufferPool()
+namespace {
+
+#ifdef OVERLAP_SANITIZE
+/**
+ * The process-wide set of pooled base pointers. Every pool records a
+ * buffer here when it pools it and erases it when it hands it out or
+ * frees it, so a double Release of one buffer fails the check instead
+ * of aliasing two live tensors. Leaked on purpose: thread-local pools
+ * clear (and unregister) at thread exit, which may run after static
+ * destruction.
+ */
+struct PooledRegistry {
+    std::mutex mu;
+    std::unordered_set<const void*> ptrs;
+};
+
+PooledRegistry&
+Registry()
 {
-    if (arena_ == nullptr) return;
-    for (auto& bucket : buckets_) {
-        for (auto& buffer : bucket) {
-            arena_->UnregisterPooled(buffer.data());
-            arena_->Release(std::move(buffer));
-        }
-        bucket.clear();
-    }
+    static PooledRegistry* registry = new PooledRegistry();
+    return *registry;
 }
 
-namespace {
+void
+RegisterPooled(const void* base)
+{
+    PooledRegistry& registry = Registry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    OVERLAP_CHECK(registry.ptrs.insert(base).second);
+}
+
+void
+UnregisterPooled(const void* base)
+{
+    PooledRegistry& registry = Registry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    registry.ptrs.erase(base);
+}
+#else
+void RegisterPooled(const void*) {}
+void UnregisterPooled(const void*) {}
+#endif
 
 class AllocTimer {
   public:
@@ -109,7 +143,7 @@ std::vector<float>
 BufferPool::Acquire(size_t n)
 {
     AllocTimer timer;
-    if (enabled_ && n > 0) {
+    if (n > 0) {
         // Any vector in bucket >= BucketFor(n) has capacity >= n; take
         // from the smallest non-empty one to keep big buffers for big
         // requests.
@@ -120,23 +154,14 @@ BufferPool::Acquire(size_t n)
             retained_bytes_ -=
                 static_cast<int64_t>(buffer.capacity() * sizeof(float));
             ++stats_.hits;
-            if (arena_ != nullptr) arena_->UnregisterPooled(buffer.data());
+            UnregisterPooled(buffer.data());
             buffer.resize(n);
             return buffer;
-        }
-        // Local miss: refill from the shared arena before paying for a
-        // heap allocation. Arena hits are *not* heap allocations.
-        if (arena_ != nullptr) {
-            std::vector<float> buffer;
-            if (arena_->Acquire(n, &buffer)) {
-                ++stats_.arena_hits;
-                return buffer;
-            }
         }
     }
     ++stats_.misses;
     internal::CountTensorHeapAlloc();
-    if (!enabled_ || n == 0) return std::vector<float>(n);
+    if (n == 0) return {};
     // Round the fresh allocation up to its bucket's guarantee: a vector
     // with capacity exactly n (non-power-of-two) would be demoted to
     // bucket BucketFor(n)-1 on Release and never serve a same-size
@@ -152,28 +177,17 @@ BufferPool::Release(std::vector<float>&& buffer)
 {
     int64_t bytes =
         static_cast<int64_t>(buffer.capacity() * sizeof(float));
-    if (!enabled_ || buffer.capacity() == 0) {
+    if (buffer.capacity() == 0 ||
+        retained_bytes_ + bytes > max_retained_bytes_) {
         ++stats_.dropped;
         return;  // buffer frees on scope exit
-    }
-    if (retained_bytes_ + bytes > max_retained_bytes_) {
-        // Over the local cap: flush to the shared arena instead of
-        // freeing, so another thread (or a later evaluation on this
-        // one) can still reuse the buffer.
-        if (arena_ != nullptr) {
-            ++stats_.flushed;
-            arena_->Release(std::move(buffer));
-        } else {
-            ++stats_.dropped;
-        }
-        return;
     }
     int bucket = BucketFor(buffer.capacity());
     // BucketFor rounds up; a capacity just under 2^b must land in the
     // bucket whose guarantee it can honor.
     if (buffer.capacity() < (size_t{1} << bucket)) --bucket;
     if (bucket < 0) bucket = 0;
-    if (arena_ != nullptr) arena_->RegisterPooled(buffer.data());
+    RegisterPooled(buffer.data());
     retained_bytes_ += bytes;
     ++stats_.pooled;
     buckets_[bucket].push_back(std::move(buffer));
@@ -183,21 +197,16 @@ void
 BufferPool::Clear()
 {
     for (auto& bucket : buckets_) {
-        if (arena_ != nullptr) {
-            for (auto& buffer : bucket)
-                arena_->UnregisterPooled(buffer.data());
-        }
+        for (auto& buffer : bucket) UnregisterPooled(buffer.data());
         bucket.clear();
     }
     retained_bytes_ = 0;
-    if (arena_ != nullptr) arena_->Clear();
 }
 
 BufferPool&
 ThreadLocalBufferPool()
 {
-    static thread_local BufferPool pool(64ll << 20,
-                                        &BufferArena::Global());
+    static thread_local BufferPool pool;
     return pool;
 }
 

@@ -7,11 +7,9 @@
 
 namespace overlap {
 
-class BufferArena;
-
 /**
- * A size-bucketed free list of float buffers: the per-thread tier of
- * the two-level allocator behind Tensor storage (DESIGN.md §17).
+ * A size-bucketed free list of float buffers: the allocator behind
+ * Tensor storage (DESIGN.md §12, §17).
  *
  * The decomposed CollectiveEinsum loop allocates the same handful of
  * shapes over and over (N partial einsum results, the
@@ -23,18 +21,18 @@ class BufferArena;
  * move with no custom allocator. Bucket b holds vectors whose capacity
  * is in [2^b, 2^(b+1)); Acquire(n) takes from bucket ceil(log2(n)), so
  * a pooled hit is guaranteed to have capacity >= n. Retained bytes are
- * capped; a Release that would exceed the cap flushes the buffer up to
- * the backing BufferArena (or frees it for a standalone pool).
+ * capped; a Release that would exceed the cap frees the buffer.
  *
  * Thread model: every thread gets its own pool via
  * ThreadLocalBufferPool(), so the fast path needs no locking and a
- * buffer never moves between threads while locally pooled. The
- * thread-local pools are *wrappers* over the shared BufferArena: an
- * Acquire that misses locally refills from the arena before falling
- * through to the heap, and a pool flushes its buffers to the arena
- * when its thread exits — so the workers of a short-lived ThreadPool
- * (one per difftest sweep) inherit the warm buffers of earlier pools
- * instead of starting cold.
+ * buffer never moves between threads while pooled. A pool frees its
+ * buffers when it is destroyed (for the thread-local pools, when their
+ * thread exits).
+ *
+ * Sanitizer builds (OVERLAP_SANITIZE) also keep a process-wide set of
+ * pooled base pointers, which turns a double Release of one buffer —
+ * the same heap block handed to two live tensors — into an immediate
+ * check failure.
  */
 class BufferPool {
   public:
@@ -43,30 +41,20 @@ class BufferPool {
         int64_t hits = 0;
         /// Acquire() calls that fell through to the heap.
         int64_t misses = 0;
-        /// Acquire() calls served by refilling from the BufferArena.
-        int64_t arena_hits = 0;
         /// Release() calls that pooled the buffer locally.
         int64_t pooled = 0;
-        /// Release() calls dropped (pool disabled, tiny, or over cap
-        /// with no arena to flush to).
+        /// Release() calls dropped (empty or over the cap).
         int64_t dropped = 0;
-        /// Buffers flushed up to the arena (over-cap or thread exit).
-        int64_t flushed = 0;
 
         std::string ToString() const;
     };
 
-    /**
-     * A standalone pool (no arena): over-cap releases free, nothing
-     * outlives the pool. The thread-local pools instead pass the
-     * global arena and flush into it.
-     */
-    explicit BufferPool(int64_t max_retained_bytes = 64ll << 20,
-                        BufferArena* arena = nullptr)
-        : max_retained_bytes_(max_retained_bytes), arena_(arena) {}
+    explicit BufferPool(int64_t max_retained_bytes = 64ll << 20)
+        : max_retained_bytes_(max_retained_bytes) {}
 
-    /** Flushes every locally pooled buffer to the arena, if any. */
-    ~BufferPool();
+    /** Clear() rather than the default: sanitizer builds must also
+     * unregister every pooled buffer before it is freed. */
+    ~BufferPool() { Clear(); }
 
     /**
      * Returns a vector of exactly `n` elements with unspecified
@@ -78,23 +66,10 @@ class BufferPool {
     /** Hands a dead buffer back for reuse. */
     void Release(std::vector<float>&& buffer);
 
-    /**
-     * Enables/disables pooling. Disabled, Acquire always heap-allocates
-     * (never touching the arena) and Release frees — the knob the perf
-     * baseline uses to measure the allocation count with and without
-     * reuse.
-     */
-    void set_enabled(bool enabled) { enabled_ = enabled; }
-    bool enabled() const { return enabled_; }
-
     const Stats& stats() const { return stats_; }
     void ResetStats() { stats_ = Stats(); }
 
-    /**
-     * Frees every pooled buffer (stats are kept). For an arena-backed
-     * pool this clears the arena too: Clear means "from here on, the
-     * next acquires really hit the heap".
-     */
+    /** Frees every pooled buffer (stats are kept). */
     void Clear();
 
     int64_t retained_bytes() const { return retained_bytes_; }
@@ -104,31 +79,28 @@ class BufferPool {
 
     static int BucketFor(size_t n);
 
-    bool enabled_ = true;
     int64_t max_retained_bytes_;
-    BufferArena* arena_ = nullptr;
     int64_t retained_bytes_ = 0;
     Stats stats_;
     std::vector<std::vector<float>> buckets_[kNumBuckets];
 };
 
-/** The calling thread's pool (created on first use, lives until the
- * thread exits, then flushes into BufferArena::Global()). */
+/** The calling thread's pool (created on first use, freed when the
+ * thread exits). */
 BufferPool& ThreadLocalBufferPool();
 
 /**
  * Process-wide count of float-buffer heap allocations made on behalf of
- * Tensors (fresh allocations only; pooled and arena hits don't count).
- * The perf baseline reports the delta across a decomposed-loop
- * evaluation with pooling on vs. off.
+ * Tensors (fresh allocations only; pooled hits don't count).
+ * alloc_regression_test asserts a warm decomposed-loop evaluation
+ * leaves it unchanged.
  */
 int64_t TensorHeapAllocCount();
 
 /**
- * Turns on wall-clock accounting of BufferPool::Acquire (covers local
- * hits, arena refills, and heap misses). Off by default — the perf
- * baseline enables it to report the allocation phase's share of an
- * evaluation.
+ * Turns on wall-clock accounting of BufferPool::Acquire (covers pooled
+ * hits and heap misses). Off by default — perfbench enables it in
+ * traced runs to report the allocation phase's share of an evaluation.
  */
 void SetAllocTimingEnabled(bool enabled);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "support/status.h"
 #include "support/strings.h"
@@ -343,12 +344,17 @@ float
 Tensor::MaxAbsDiff(const Tensor& lhs, const Tensor& rhs)
 {
     OVERLAP_CHECK(lhs.shape().SameDims(rhs.shape()));
+    // A NaN on either side (or inf - inf) makes the difference
+    // unordered; std::max would silently skip it and pass the pair as
+    // equal. Track it with a flag so the loop stays vectorizable.
     float max_diff = 0.0f;
+    bool unordered = false;
     for (size_t i = 0; i < lhs.values_.size(); ++i) {
-        max_diff = std::max(max_diff,
-                            std::fabs(lhs.values_[i] - rhs.values_[i]));
+        float d = std::fabs(lhs.values_[i] - rhs.values_[i]);
+        max_diff = d > max_diff ? d : max_diff;
+        unordered |= d != d;
     }
-    return max_diff;
+    return unordered ? std::numeric_limits<float>::infinity() : max_diff;
 }
 
 bool

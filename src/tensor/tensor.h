@@ -121,7 +121,11 @@ class Tensor {
     static Tensor BinaryOp(const Tensor& lhs, const Tensor& rhs,
                            const std::function<float(float, float)>& fn);
 
-    /** Max |a - b| over all elements; shapes must match. */
+    /**
+     * Max |a - b| over all elements; shapes must match. +inf if the
+     * difference is NaN anywhere (a NaN in either operand), so a NaN
+     * output never compares as close.
+     */
     static float MaxAbsDiff(const Tensor& lhs, const Tensor& rhs);
 
     /** True if all elements are within `tolerance` of `other`. */

@@ -5,7 +5,7 @@
  * no fresh tensor heap allocations — every intermediate is served from
  * the pool. A regression here (a new untracked allocation site, a
  * shape that misses its bucket) shows up as a nonzero delta in
- * TensorHeapAllocCount, the same counter the perf baseline reports.
+ * TensorHeapAllocCount.
  */
 #include <gtest/gtest.h>
 
@@ -38,8 +38,6 @@ SmallDecomposedSpec(SiteCase site_case)
 TEST(AllocRegressionTest, WarmPoolEvaluationAllocatesNothing)
 {
     BufferPool& pool = ThreadLocalBufferPool();
-    const bool was_enabled = pool.enabled();
-    pool.set_enabled(true);
 
     const SiteCase kCases[] = {
         SiteCase::kAllGatherFree,
@@ -88,19 +86,12 @@ TEST(AllocRegressionTest, WarmPoolEvaluationAllocatesNothing)
             << pool.stats().ToString();
         EXPECT_GT(pool.stats().hits, 0) << spec.ToString();
     }
-
-    pool.set_enabled(was_enabled);
 }
 
-TEST(AllocRegressionTest, DisabledPoolStillCountsAllocations)
+TEST(AllocRegressionTest, ColdPoolStillCountsAllocations)
 {
-    // The counter itself must move when pooling is off — otherwise the
-    // zero above could be a dead counter rather than a working pool.
-    BufferPool& pool = ThreadLocalBufferPool();
-    const bool was_enabled = pool.enabled();
-    pool.set_enabled(false);
-    pool.Clear();
-
+    // The counter itself must move when the pool is cold — otherwise
+    // the zero above could be a dead counter rather than a working pool.
     SiteSpec spec = SmallDecomposedSpec(SiteCase::kAllGatherFree);
     auto scenario = BuildSiteScenario(spec);
     ASSERT_TRUE(scenario.ok());
@@ -110,12 +101,11 @@ TEST(AllocRegressionTest, DisabledPoolStillCountsAllocations)
     ASSERT_TRUE(compiler.Compile(scenario->module.get()).ok());
     SpmdEvaluator eval(spec.mesh());
 
+    ThreadLocalBufferPool().Clear();
     const int64_t before = TensorHeapAllocCount();
     auto r = eval.Evaluate(*scenario->module->entry(), scenario->params);
     ASSERT_TRUE(r.ok());
     EXPECT_GT(TensorHeapAllocCount() - before, 0);
-
-    pool.set_enabled(was_enabled);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
  * @file
  * BufferPool contract tests: buffer reuse (hit accounting), no aliasing
  * between live tensors, explicit zero-fill after recycling a dirty
- * buffer, the retained-bytes cap, and the disabled mode.
+ * buffer, the retained-bytes cap, and the heap-allocation counter.
  */
 #include "tensor/buffer_pool.h"
 
@@ -86,17 +86,6 @@ TEST(BufferPoolTest, RetainedBytesAreCapped)
     pool.Release(pool.Acquire(100000));  // 400KB: over cap, dropped
     EXPECT_EQ(pool.retained_bytes(), retained);
     EXPECT_GE(pool.stats().dropped, 1);
-}
-
-TEST(BufferPoolTest, DisabledPoolAlwaysMissesAndDrops)
-{
-    BufferPool pool;
-    pool.set_enabled(false);
-    pool.Release(pool.Acquire(100));
-    std::vector<float> buffer = pool.Acquire(100);
-    EXPECT_EQ(pool.stats().hits, 0);
-    EXPECT_EQ(pool.stats().misses, 2);
-    EXPECT_EQ(pool.stats().pooled, 0);
 }
 
 TEST(BufferPoolTest, HeapAllocCountGrowsOnlyOnMisses)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "hlo/builder.h"
 #include "hlo/module.h"
 #include "interp/comparison.h"
@@ -305,6 +307,22 @@ TEST(ComparisonTest, CompareOutputsFindsFirstMismatch)
     EXPECT_EQ(cmp.first_mismatch_device, 1);
     EXPECT_NEAR(cmp.max_abs_diff, 5.0, 1e-9);
     EXPECT_NE(cmp.ToString().find("MISMATCH"), std::string::npos);
+}
+
+TEST(ComparisonTest, NaNOutputIsAMismatch)
+{
+    std::vector<Tensor> ref = {Tensor(Shape({2}), {1, 2}),
+                               Tensor(Shape({2}), {3, 4})};
+    std::vector<Tensor> nan = {
+        Tensor(Shape({2}), {1, 2}),
+        Tensor(Shape({2}), {3, std::numeric_limits<float>::quiet_NaN()})};
+    OutputComparison cmp = CompareOutputs(ref, nan, 1e9);
+    EXPECT_FALSE(cmp.equal);
+    EXPECT_EQ(cmp.mismatched_devices, 1);
+    EXPECT_EQ(cmp.first_mismatch_device, 1);
+    EXPECT_EQ(cmp.max_abs_diff, std::numeric_limits<double>::infinity());
+    EXPECT_NE(cmp.ToString().find("max|d|=inf"), std::string::npos)
+        << cmp.ToString();
 }
 
 TEST(ComparisonTest, ShapeDisagreementIsAMismatch)

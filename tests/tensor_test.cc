@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tensor/einsum.h"
 #include "tensor/mesh.h"
 #include "tensor/shape.h"
@@ -95,6 +97,20 @@ TEST(TensorTest, AllCloseAndMaxAbsDiff)
     EXPECT_FLOAT_EQ(Tensor::MaxAbsDiff(a, b), 0.5f);
     EXPECT_TRUE(a.AllClose(b, 0.6f));
     EXPECT_FALSE(a.AllClose(b, 0.4f));
+
+    // A NaN anywhere is a mismatch at any tolerance: in the candidate,
+    // in the reference, or at the same position in both.
+    const float kNaN = std::numeric_limits<float>::quiet_NaN();
+    const float kInf = std::numeric_limits<float>::infinity();
+    Tensor nan_candidate = a;
+    nan_candidate.set({1}, kNaN);
+    EXPECT_EQ(Tensor::MaxAbsDiff(a, nan_candidate), kInf);
+    EXPECT_FALSE(a.AllClose(nan_candidate, 1e9f));
+    EXPECT_EQ(Tensor::MaxAbsDiff(nan_candidate, a), kInf);
+    EXPECT_FALSE(nan_candidate.AllClose(a, 1e9f));
+    Tensor nan_both = nan_candidate;
+    EXPECT_EQ(Tensor::MaxAbsDiff(nan_candidate, nan_both), kInf);
+    EXPECT_FALSE(nan_candidate.AllClose(nan_both, 1e9f));
 }
 
 TEST(TensorTest, RandomIsDeterministic)
