@@ -2,8 +2,9 @@
  * @file
  * Behaviour lock: the deterministic simulated results of the paper
  * grids, pinned to the last bit. Every Table 1 / Table 2 model (Figures
- * 12 and 13), every moe_sweep grid arm, and one chip-death and one
- * link-death step are simulated baseline vs overlapped; the `%.17g`
+ * 12 and 13), every moe_sweep grid arm, one chip-death and one
+ * link-death step, and seeded AgingPod / FlakyFabric trials are
+ * simulated baseline vs overlapped; the `%.17g`
  * step seconds and speedups must equal tests/golden/behaviour_lock.golden
  * exactly. A refactor that claims "no behaviour change" proves it here.
  *
@@ -96,6 +97,28 @@ FaultedLayerSeconds(const ModelConfig& config,
                            : outcome->result.step_seconds;
 }
 
+/**
+ * Compiles `config` with the fault-aware §5.5 gate under `fault`, then
+ * simulates trial `trial` of the layer step on the faulted pod.
+ */
+double
+TrialLayerSeconds(const ModelConfig& config, CompilerOptions options,
+                  const FaultSpec& fault, int64_t trial)
+{
+    options.fault = fault;
+    auto module = BuildLayerStepModule(config);
+    EXPECT_TRUE(module.ok()) << module.status().ToString();
+    if (!module.ok()) return 0.0;
+    auto compiled = OverlapCompiler(options).Compile(module->get());
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    if (!compiled.ok()) return 0.0;
+    PodSimulator simulator(config.mesh(), options.hardware,
+                           FaultModel(fault));
+    auto result = simulator.Run(**module, /*collect_trace=*/false, trial);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->step_seconds : 0.0;
+}
+
 std::vector<std::string>
 LockLines()
 {
@@ -149,6 +172,20 @@ LockLines()
     faulted("link_death", [&](double t) {
         return LinkDeath(gpt.mesh(), /*axis=*/1, 0, t);
     });
+
+    // Degradation faults: the fault-aware gate and the engine's folded
+    // link/chip factors, jitter draws and retry/backoff draws, per trial.
+    for (const FaultScenario& scenario : {AgingPod(), FlakyFabric()}) {
+        for (int64_t trial = 0; trial < 4; ++trial) {
+            lines.push_back(Line(
+                "fault_trial",
+                StrCat(scenario.name, "/", gpt.name, "/t", trial),
+                TrialLayerSeconds(gpt, CompilerOptions::Baseline(),
+                                  scenario.spec, trial),
+                TrialLayerSeconds(gpt, CompilerOptions(), scenario.spec,
+                                  trial)));
+        }
+    }
     return lines;
 }
 
