@@ -34,6 +34,11 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # interval, with no leaks or UB along the recovery path.
 "${build_dir}/bench/recovery_sweep" --quick --json > /dev/null
 
+# Fault-injection sweep under the sanitizers: the fault-aware §5.5
+# gate and RunTrials (one prepared step, seeded trials folded through
+# the ring-fault table) over degraded, straggling and flaky pods.
+"${build_dir}/bench/fault_sweep" --json > /dev/null
+
 # Quick continuous-operation service sweep under the sanitizers: the
 # open-loop queue, the SLO accounting and the recovery-under-load path
 # (including chip death mid-traffic) must run clean end to end.

@@ -1,6 +1,7 @@
 #include "passes/decompose.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "hlo/builder.h"
 #include "support/logging.h"
@@ -776,6 +777,11 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
     DecomposeStats stats;
     std::vector<HloInstruction*> snapshot = computation->instructions();
 
+    // The fault model folded onto the mesh, built at the first faulted
+    // site; the gate reads trial 0's factors.
+    std::optional<RingFaultTable> ring_faults;
+    TrialRingFactors trial0;
+
     // Collect candidate sites per einsum, then pick the best one each.
     std::vector<Site> chosen;
     for (HloInstruction* einsum : snapshot) {
@@ -939,17 +945,17 @@ CollectiveEinsumDecomposer::Run(HloComputation* computation)
         bool faulted = fault_model_ != nullptr &&
                        !fault_model_->fault_free();
         if (faulted) {
+            if (!ring_faults.has_value()) {
+                ring_faults.emplace(*fault_model_, mesh_);
+                trial0 = ring_faults->Trial(0);
+            }
             for (Site& site : candidates) {
-                double chip = fault_model_->SlowestChipFactor(
-                    mesh_.num_devices());
-                double f0 = fault_model_->SlowestLinkFactor(
-                    mesh_, site.mesh_axis, 0);
-                double f1 = fault_model_->SlowestLinkFactor(
-                    mesh_, site.mesh_axis, 1);
-                double l0 = fault_model_->WorstLinkLatencyFactor(
-                    mesh_, site.mesh_axis, 0);
-                double l1 = fault_model_->WorstLinkLatencyFactor(
-                    mesh_, site.mesh_axis, 1);
+                size_t c0 = static_cast<size_t>(site.mesh_axis * 2);
+                double chip = trial0.compute;
+                double f0 = trial0.channel_bandwidth[c0];
+                double f1 = trial0.channel_bandwidth[c0 + 1];
+                double l0 = ring_faults->channel_latency()[c0];
+                double l1 = ring_faults->channel_latency()[c0 + 1];
                 CostModel bidi_cost = *cost_model_;
                 bidi_cost.SetFaultDerating(chip, std::min(f0, f1),
                                            std::max(l0, l1));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "support/strings.h"
 
@@ -159,6 +158,19 @@ struct KilledTransfer {
     double fail_time_seconds = 0.0;
 };
 
+/** What the timing walk tracks per unit, indexed by SchedUnit::id. */
+struct UnitState {
+    /// Async Starts: when the transfer (exchange) lands.
+    double arrival = 0.0;
+    /// Async Starts under transfer checksums: the receiver's hash time.
+    double receiver_check = 0.0;
+    /// Readers that have not run yet (the result buffer's liveness).
+    int64_t remaining_readers = 0;
+    /// Async Starts whose transfer can never arrive, and why.
+    bool killed = false;
+    KilledTransfer kill;
+};
+
 }  // namespace
 
 const char*
@@ -233,20 +245,45 @@ TrialStats::FromSamples(std::vector<double> samples)
     return stats;
 }
 
-StatusOr<StepOutcome>
-PodSimulator::RunStep(const HloModule& module, int64_t step_index,
-                      bool collect_trace, int64_t trial) const
+StatusOr<PreparedStep>
+PodSimulator::Prepare(const HloModule& module) const
 {
     if (module.entry() == nullptr) {
         return InvalidArgument("module has no entry computation");
     }
+    PreparedStep prepared;
     const HloComputation& computation = *module.entry();
-    SchedGraph graph(computation, cost_);
-    std::vector<SchedUnit*> order =
-        graph.UnitOrderOf(computation.sequence());
-    OVERLAP_RETURN_IF_ERROR(
-        CheckNoDeadlock(order, graph.units().size(),
-                        spec_.max_in_flight_async));
+    prepared.graph_ = std::make_unique<SchedGraph>(computation, cost_);
+    prepared.order_ = prepared.graph_->UnitOrderOf(computation.sequence());
+    OVERLAP_RETURN_IF_ERROR(CheckNoDeadlock(prepared.order_,
+                                            prepared.graph_->units().size(),
+                                            spec_.max_in_flight_async));
+    // Per-kind ordinals over the computation's instruction list — the
+    // same program-order scheme the evaluator's AnalyzeProgram assigns,
+    // so a SilentCorruption's `instruction` names one instruction in
+    // both the timing model and the data model.
+    if (fault_.sdc().enabled) {
+        size_t ids = static_cast<size_t>(computation.id_bound());
+        prepared.einsum_ordinal_.assign(ids, -1);
+        prepared.exchange_ordinal_.assign(ids, -1);
+        int64_t num_exchanges = 0;
+        for (const HloInstruction* instr : computation.instructions()) {
+            size_t id = static_cast<size_t>(instr->id());
+            if (instr->opcode() == HloOpcode::kEinsum) {
+                prepared.einsum_ordinal_[id] = prepared.num_einsums_++;
+            } else if (IsExchange(instr->opcode())) {
+                prepared.exchange_ordinal_[id] = num_exchanges++;
+            }
+        }
+    }
+    return prepared;
+}
+
+StatusOr<StepOutcome>
+PodSimulator::RunStep(const PreparedStep& prepared, int64_t step_index,
+                      bool collect_trace, int64_t trial) const
+{
+    const std::vector<SchedUnit*>& order = prepared.order_;
 
     // One link channel per (axis, direction); value = busy-until time.
     std::vector<double> channel_free(
@@ -256,29 +293,16 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
         return channel_free[static_cast<size_t>(axis * 2 + dir)];
     };
 
-    // Effective per-channel rates under the fault model: a ring step
-    // completes lockstep when its slowest link does, so each channel
-    // takes the min bandwidth factor (and max latency multiplier) over
-    // the directed links of its axis+direction. Lockstep at each sync
-    // point likewise pins compute throughput to the slowest chip. A
-    // fault-free model yields factors of exactly 1.0, keeping results
-    // bit-identical to a simulation without one.
-    std::vector<double> channel_bw_factor(channel_free.size(), 1.0);
-    std::vector<double> channel_lat_factor(channel_free.size(), 1.0);
-    double compute_factor = 1.0;
-    if (!fault_.fault_free()) {
-        for (int64_t axis = 0; axis < mesh_.num_axes(); ++axis) {
-            for (int64_t dir = 0; dir < 2; ++dir) {
-                size_t c = static_cast<size_t>(axis * 2 + dir);
-                channel_bw_factor[c] =
-                    fault_.SlowestLinkFactor(mesh_, axis, dir, trial);
-                channel_lat_factor[c] =
-                    fault_.WorstLinkLatencyFactor(mesh_, axis, dir);
-            }
-        }
-        compute_factor =
-            fault_.SlowestChipFactor(mesh_.num_devices(), trial);
-    }
+    // Effective per-channel rates and compute throughput under the
+    // fault model, folded onto the mesh once (RingFaultTable): each
+    // channel runs at its slowest link and every kernel at the slowest
+    // chip. A fault-free model yields factors of exactly 1.0, keeping
+    // results bit-identical to a simulation without one.
+    const TrialRingFactors factors = ring_faults_.Trial(trial);
+    const std::vector<double>& channel_bw_factor = factors.channel_bandwidth;
+    const std::vector<double>& channel_lat_factor =
+        ring_faults_.channel_latency();
+    const double compute_factor = factors.compute;
 
     // Permanent failure manifest in this step: the dead entity exists
     // from `dead_from` (time 0 when it died in an earlier step).
@@ -326,26 +350,12 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
     const SdcDetectorConfig& sdc = fault_.sdc();
     const bool transfer_checks = sdc.enabled && sdc.verify_transfers;
     const bool abft_checks = sdc.enabled && sdc.verify_einsums;
+    // Prepared under this simulator's detectors (a computation has at
+    // least one instruction, so prepared ordinals are never empty).
+    OVERLAP_CHECK(!sdc.enabled || !prepared.einsum_ordinal_.empty());
     std::vector<SilentCorruption> live_corruptions;
     if (fault_.has_silent_corruptions()) {
         live_corruptions = fault_.ActiveCorruptions(step_index);
-    }
-    // Per-kind ordinals over the computation's instruction list — the
-    // same program-order scheme the evaluator's AnalyzeProgram assigns,
-    // so a SilentCorruption's `instruction` names one instruction in
-    // both the timing model and the data model.
-    std::unordered_map<const HloInstruction*, int64_t> einsum_ordinals;
-    std::unordered_map<const HloInstruction*, int64_t> exchange_ordinals;
-    int64_t num_einsums = 0;
-    if (sdc.enabled) {
-        for (const HloInstruction* instr : computation.instructions()) {
-            if (instr->opcode() == HloOpcode::kEinsum) {
-                einsum_ordinals[instr] = num_einsums++;
-            } else if (IsExchange(instr->opcode())) {
-                exchange_ordinals[instr] =
-                    static_cast<int64_t>(exchange_ordinals.size());
-            }
-        }
     }
     double detect_time = std::numeric_limits<double>::infinity();
     CorruptionReport detection;
@@ -365,24 +375,26 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
     // chip of fresh (this-step) payload corruption on `op`.
     auto note_transfer_detection = [&](const HloInstruction* op,
                                        double at) {
-        auto it = exchange_ordinals.find(op);
-        if (it == exchange_ordinals.end()) return;
+        int64_t ordinal =
+            prepared.exchange_ordinal_[static_cast<size_t>(op->id())];
+        if (ordinal < 0) return;
         for (const SilentCorruption& c : live_corruptions) {
             if (c.step == step_index &&
                 c.target == CorruptionTarget::kTransferPayload &&
-                c.instruction == it->second && c.chip >= 0 &&
+                c.instruction == ordinal && c.chip >= 0 &&
                 c.chip < mesh_.num_devices()) {
                 note_detection(c, CorruptionDetector::kTransferChecksum,
-                               it->second, at);
+                               ordinal, at);
             }
         }
     };
 
     int64_t transfer_index = 0;
 
-    std::unordered_map<const SchedUnit*, double> arrival;
-    std::unordered_map<const SchedUnit*, double> receiver_check;
-    std::unordered_map<const SchedUnit*, KilledTransfer> killed;
+    std::vector<UnitState> state(prepared.graph_->units().size());
+    auto state_of = [&state](const SchedUnit* unit) -> UnitState& {
+        return state[static_cast<size_t>(unit->id)];
+    };
     std::vector<const SchedUnit*> outstanding_starts;
     StepOutcome outcome;
     SimResult& result = outcome.result;
@@ -429,9 +441,9 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
 
     // Liveness accounting over the executed order: a unit's result buffer
     // is allocated when it runs and freed once its last reader has run.
-    std::unordered_map<const SchedUnit*, int64_t> remaining_readers;
     for (const SchedUnit* unit : order) {
-        remaining_readers[unit] = static_cast<int64_t>(unit->users.size());
+        state_of(unit).remaining_readers =
+            static_cast<int64_t>(unit->users.size());
     }
     int64_t live_bytes = 0;
     auto output_bytes = [](const SchedUnit* unit) {
@@ -442,7 +454,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
         result.peak_memory_bytes =
             std::max(result.peak_memory_bytes, live_bytes);
         for (const SchedUnit* operand : unit->operands) {
-            if (--remaining_readers.at(operand) == 0) {
+            if (--state_of(operand).remaining_readers == 0) {
                 live_bytes -= output_bytes(operand);
             }
         }
@@ -489,7 +501,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 time += chk;
                 result.detector_seconds += chk;
                 ++result.num_transfer_checksums;
-                receiver_check[unit] = chk;
+                state_of(unit).receiver_check = chk;
             }
             double& free_at = channel(route->axis, direction);
             double begin = std::max(time, free_at);
@@ -505,8 +517,9 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 info.dead_link_src = ls;
                 info.dead_link_dst = ld;
                 info.fail_time_seconds = begin;
-                killed[unit] = info;
-                arrival[unit] =
+                state_of(unit).killed = true;
+                state_of(unit).kill = info;
+                state_of(unit).arrival =
                     std::numeric_limits<double>::infinity();
             } else if (permute_involves_dead(route->axis, direction) &&
                        end_transfer > dead_from) {
@@ -517,15 +530,16 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 info.dead_link_src = permanent->link_src;
                 info.dead_link_dst = permanent->link_dst;
                 info.fail_time_seconds = dead_from;
-                killed[unit] = info;
-                arrival[unit] =
+                state_of(unit).killed = true;
+                state_of(unit).kill = info;
+                state_of(unit).arrival =
                     std::numeric_limits<double>::infinity();
             } else {
                 free_at = begin + retry_delay + wire;
-                arrival[unit] = free_at +
-                                static_cast<double>(route->hops) *
-                                    spec_.link_latency *
-                                    channel_lat_factor[ch];
+                state_of(unit).arrival =
+                    free_at + static_cast<double>(route->hops) *
+                                  spec_.link_latency *
+                                  channel_lat_factor[ch];
                 // In-flight interval on the transfer lane: queueing
                 // behind earlier traffic in the same direction, retries,
                 // wire time and per-hop latency, Start issue to arrival.
@@ -534,7 +548,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 // in-flight interval, which the overlap report's
                 // hidden+exposed==total accounting relies on.
                 record(head->name(), TraceKind::kTransferInFlight, time,
-                       arrival.at(unit), unit->loop_group);
+                       state_of(unit).arrival, unit->loop_group);
             }
             result.transferred_bytes +=
                 bytes * static_cast<double>(1 + retries.failures);
@@ -546,16 +560,16 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 std::max(result.peak_in_flight, in_flight);
         } else if (unit->IsPermuteDone()) {
             const SchedUnit* start = unit->operands.front();
-            auto killed_it = killed.find(start);
-            if (killed_it != killed.end()) {
+            const UnitState& start_state = state_of(start);
+            if (start_state.killed) {
                 // The paired Start's transfer will never arrive: the
                 // device is stuck here; the watchdog turns the stall
                 // into a structured report.
-                fail_at(unit, killed_it->second,
+                fail_at(unit, start_state.kill,
                         {start->members.front()->name()});
                 return outcome;
             }
-            double arrived = arrival.at(start);
+            double arrived = start_state.arrival;
             if (arrived > time) {
                 record(head->name(), TraceKind::kTransferWait, time,
                        arrived, unit->loop_group);
@@ -563,7 +577,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 time = arrived;
             }
             if (transfer_checks) {
-                double chk = receiver_check.at(start);
+                double chk = start_state.receiver_check;
                 record(StrCat("sdc_checksum:", head->name()),
                        TraceKind::kCompute, time, time + chk,
                        unit->loop_group);
@@ -596,7 +610,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 time += chk;
                 result.detector_seconds += chk;
                 ++result.num_transfer_checksums;
-                receiver_check[unit] = chk;
+                state_of(unit).receiver_check = chk;
             }
             double begin = time;
             bool exchange_killed = false;
@@ -617,25 +631,26 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                     info.dead_link_src = permanent->link_src;
                     info.dead_link_dst = permanent->link_dst;
                     info.fail_time_seconds = dead_from;
-                    killed[unit] = info;
-                    arrival[unit] =
+                    state_of(unit).killed = true;
+                    state_of(unit).kill = info;
+                    state_of(unit).arrival =
                         std::numeric_limits<double>::infinity();
                     exchange_killed = true;
                 } else {
                     for (size_t c = first; c < last; ++c) {
                         channel_free[c] = begin + duration;
                     }
-                    arrival[unit] = begin + duration;
+                    state_of(unit).arrival = begin + duration;
                 }
             } else {
-                arrival[unit] = begin + duration;
+                state_of(unit).arrival = begin + duration;
             }
             if (!exchange_killed) {
                 // In-flight interval from the issue time so every
                 // Done-wait interval stays a subset of its exchange's
                 // in-flight interval (see the permute Start above).
                 record(head->name(), TraceKind::kTransferInFlight, time,
-                       arrival.at(unit), unit->loop_group);
+                       state_of(unit).arrival, unit->loop_group);
                 result.transferred_bytes += bytes;
             }
             ++result.num_async_transfers;
@@ -645,13 +660,13 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 std::max(result.peak_in_flight, in_flight);
         } else if (unit->IsAsyncDone()) {
             const SchedUnit* start = unit->operands.front();
-            auto killed_it = killed.find(start);
-            if (killed_it != killed.end()) {
-                fail_at(unit, killed_it->second,
+            const UnitState& start_state = state_of(start);
+            if (start_state.killed) {
+                fail_at(unit, start_state.kill,
                         {start->members.front()->name()});
                 return outcome;
             }
-            double arrived = arrival.at(start);
+            double arrived = start_state.arrival;
             if (arrived > time) {
                 record(head->name(), TraceKind::kTransferWait, time,
                        arrived, unit->loop_group);
@@ -659,7 +674,7 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                 time = arrived;
             }
             if (transfer_checks) {
-                double chk = receiver_check.at(start);
+                double chk = start_state.receiver_check;
                 record(StrCat("sdc_checksum:", head->name()),
                        TraceKind::kCompute, time, time + chk,
                        unit->loop_group);
@@ -813,8 +828,9 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
                         member->operand(0)->shape(),
                         member->operand(1)->shape()));
                 if (!abft_checks) continue;
-                int64_t ord = einsum_ordinals.at(member);
-                if (!AbftChecked(step_index, ord, num_einsums,
+                int64_t ord = prepared.einsum_ordinal_[static_cast<size_t>(
+                    member->id())];
+                if (!AbftChecked(step_index, ord, prepared.num_einsums_,
                                  sdc.einsum_check_cadence)) {
                     continue;
                 }
@@ -863,10 +879,11 @@ PodSimulator::RunStep(const HloModule& module, int64_t step_index,
 }
 
 StatusOr<SimResult>
-PodSimulator::Run(const HloModule& module, bool collect_trace,
+PodSimulator::Run(const PreparedStep& prepared, bool collect_trace,
                   int64_t trial) const
 {
-    auto outcome = RunStep(module, /*step_index=*/0, collect_trace, trial);
+    auto outcome =
+        RunStep(prepared, /*step_index=*/0, collect_trace, trial);
     if (!outcome.ok()) return outcome.status();
     if (outcome->failed) {
         // Single-step callers have no recovery path; surface the
@@ -884,19 +901,39 @@ PodSimulator::Run(const HloModule& module, bool collect_trace,
     return std::move(outcome)->result;
 }
 
+StatusOr<StepOutcome>
+PodSimulator::RunStep(const HloModule& module, int64_t step_index,
+                      bool collect_trace, int64_t trial) const
+{
+    auto prepared = Prepare(module);
+    if (!prepared.ok()) return prepared.status();
+    return RunStep(*prepared, step_index, collect_trace, trial);
+}
+
+StatusOr<SimResult>
+PodSimulator::Run(const HloModule& module, bool collect_trace,
+                  int64_t trial) const
+{
+    auto prepared = Prepare(module);
+    if (!prepared.ok()) return prepared.status();
+    return Run(*prepared, collect_trace, trial);
+}
+
 StatusOr<TrialStats>
 PodSimulator::RunTrials(const HloModule& module, int64_t num_trials) const
 {
     if (num_trials < 1) {
         return InvalidArgument("RunTrials needs at least one trial");
     }
+    auto prepared = Prepare(module);
+    if (!prepared.ok()) return prepared.status();
     std::vector<double> samples;
     samples.reserve(static_cast<size_t>(num_trials));
     int64_t total_retries = 0;
     double total_backoff = 0.0;
     double total_stall = 0.0;
     for (int64_t trial = 0; trial < num_trials; ++trial) {
-        auto result = Run(module, /*collect_trace=*/false, trial);
+        auto result = Run(*prepared, /*collect_trace=*/false, trial);
         if (!result.ok()) return result.status();
         samples.push_back(result->step_seconds);
         total_retries += result->retry.retries;

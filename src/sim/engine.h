@@ -1,6 +1,7 @@
 #ifndef OVERLAP_SIM_ENGINE_H_
 #define OVERLAP_SIM_ENGINE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -213,6 +214,31 @@ struct StepOutcome {
 };
 
 /**
+ * A module's step made ready for any number of simulated trials and
+ * steps (PodSimulator::Prepare): the unit graph with its cost-model
+ * latencies, the executed unit order and the SDC instruction ordinals,
+ * built once and already past the no-progress pre-check. It points into
+ * the module's entry computation, which must outlive it unmodified, and
+ * runs on the simulator that prepared it (the kernel latencies are that
+ * simulator's cost model; the ordinals exist only under its SDC
+ * detectors).
+ */
+class PreparedStep {
+  private:
+    friend class PodSimulator;
+    PreparedStep() = default;
+
+    std::unique_ptr<SchedGraph> graph_;
+    /// The schedule (or instruction order) grouped into units.
+    std::vector<SchedUnit*> order_;
+    /// SDC detectors only: per instruction id, the program-order ordinal
+    /// among the einsums (exchanges), or -1.
+    std::vector<int64_t> einsum_ordinal_;
+    std::vector<int64_t> exchange_ordinal_;
+    int64_t num_einsums_ = 0;
+};
+
+/**
  * Discrete-event simulator of an SPMD program on a TPU-pod-like torus
  * (DESIGN.md §2/§5).
  *
@@ -238,7 +264,8 @@ class PodSimulator {
         : mesh_(std::move(mesh)),
           spec_(spec),
           cost_(spec),
-          fault_(std::move(fault)) {}
+          fault_(std::move(fault)),
+          ring_faults_(fault_, mesh_) {}
 
     const CostModel& cost_model() const { return cost_; }
     const HardwareSpec& spec() const { return spec_; }
@@ -246,15 +273,14 @@ class PodSimulator {
     const FaultModel& fault_model() const { return fault_; }
 
     /**
-     * Simulates one execution of the module's entry computation (using
-     * its schedule when attached, else the instruction order).
-     * `collect_trace` additionally records the device-0 timeline.
-     * `trial` selects the fault model's per-trial noise draw (jitter,
-     * transient failures); it is ignored by a fault-free model.
+     * Builds what every trial and step of `module` shares: the unit
+     * graph, the executed order (its schedule when attached, else the
+     * instruction order) and the no-progress pre-check. Malformed
+     * schedules that can never progress (orphaned Start/Done pairs,
+     * async in-flight budget starvation) return an error Status naming
+     * the blocked instructions.
      */
-    StatusOr<SimResult> Run(const HloModule& module,
-                            bool collect_trace = false,
-                            int64_t trial = 0) const;
+    StatusOr<PreparedStep> Prepare(const HloModule& module) const;
 
     /**
      * Simulates step `step_index` of a multi-step run. Permanent faults
@@ -262,19 +288,40 @@ class PodSimulator {
      * communication op that needs the dead entity (or a transfer that
      * exhausts its retries) blocks, the watchdog fires after the
      * no-progress window, and the outcome carries a FailureReport
-     * instead of spinning. Malformed schedules that can never progress
-     * (orphaned Start/Done pairs, async in-flight budget starvation)
-     * return an error Status naming the blocked instructions.
+     * instead of spinning. `collect_trace` additionally records the
+     * device-0 timeline. `trial` selects the fault model's per-trial
+     * noise draw (jitter, transient failures); it is ignored by a
+     * fault-free model.
      */
-    StatusOr<StepOutcome> RunStep(const HloModule& module,
+    StatusOr<StepOutcome> RunStep(const PreparedStep& step,
                                   int64_t step_index,
                                   bool collect_trace = false,
                                   int64_t trial = 0) const;
 
     /**
-     * Runs `num_trials` seeded simulations (trial = 0..n-1) and reports
-     * the step-time distribution; the same seed reproduces identical
-     * statistics across calls.
+     * Simulates one execution of the prepared step (step 0). A watchdog
+     * failure or a detected silent corruption is an error here: a
+     * single-step caller has no recovery path.
+     */
+    StatusOr<SimResult> Run(const PreparedStep& step,
+                            bool collect_trace = false,
+                            int64_t trial = 0) const;
+
+    /** Prepare(module), then RunStep. */
+    StatusOr<StepOutcome> RunStep(const HloModule& module,
+                                  int64_t step_index,
+                                  bool collect_trace = false,
+                                  int64_t trial = 0) const;
+
+    /** Prepare(module), then Run. */
+    StatusOr<SimResult> Run(const HloModule& module,
+                            bool collect_trace = false,
+                            int64_t trial = 0) const;
+
+    /**
+     * Prepares `module` once and runs `num_trials` seeded simulations
+     * (trial = 0..n-1), reporting the step-time distribution; the same
+     * seed reproduces identical statistics across calls.
      */
     StatusOr<TrialStats> RunTrials(const HloModule& module,
                                    int64_t num_trials) const;
@@ -284,6 +331,8 @@ class PodSimulator {
     HardwareSpec spec_;
     CostModel cost_;
     FaultModel fault_;
+    /// fault_ folded onto mesh_, once per simulator.
+    RingFaultTable ring_faults_;
 };
 
 }  // namespace overlap

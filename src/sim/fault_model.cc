@@ -26,15 +26,25 @@ Mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** The hash of a stream before any argument is folded in. */
+uint64_t
+StreamBase(uint64_t seed, uint64_t tag)
+{
+    return Mix64(seed ^ Mix64(tag));
+}
+
+/** One round of Hash: folds `value` into the running hash `h`. */
+uint64_t
+Fold(uint64_t h, uint64_t value)
+{
+    return Mix64(h ^ Mix64(value));
+}
+
 uint64_t
 Hash(uint64_t seed, uint64_t tag, uint64_t a, uint64_t b = 0,
      uint64_t c = 0)
 {
-    uint64_t h = Mix64(seed ^ Mix64(tag));
-    h = Mix64(h ^ Mix64(a));
-    h = Mix64(h ^ Mix64(b));
-    h = Mix64(h ^ Mix64(c));
-    return h;
+    return Fold(Fold(Fold(StreamBase(seed, tag), a), b), c);
 }
 
 /** Uniform double in [0, 1) from a hash. */
@@ -42,6 +52,32 @@ double
 UnitUniform(uint64_t h)
 {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/** Persistent bandwidth and latency factor of one directed link. */
+struct LinkFactors {
+    double bandwidth = 1.0;
+    double latency = 1.0;
+};
+
+LinkFactors
+PersistentLinkFactors(const FaultSpec& spec, int64_t src, int64_t dst)
+{
+    LinkFactors factors;
+    for (const LinkFault& fault : spec.link_faults) {
+        if (fault.src == src && fault.dst == dst) {
+            factors.bandwidth *= fault.bandwidth_factor;
+            factors.latency *= fault.latency_factor;
+        }
+    }
+    if (spec.link_degrade_probability > 0.0 &&
+        UnitUniform(Hash(spec.seed, kLinkTag, static_cast<uint64_t>(src),
+                         static_cast<uint64_t>(dst))) <
+            spec.link_degrade_probability) {
+        factors.bandwidth *= spec.link_degrade_factor;
+        factors.latency *= spec.link_degrade_latency_factor;
+    }
+    return factors;
 }
 
 }  // namespace
@@ -117,40 +153,14 @@ double
 FaultModel::LinkBandwidthFactor(int64_t src, int64_t dst) const
 {
     if (fault_free_) return 1.0;
-    double factor = 1.0;
-    for (const LinkFault& fault : spec_.link_faults) {
-        if (fault.src == src && fault.dst == dst) {
-            factor *= fault.bandwidth_factor;
-        }
-    }
-    if (spec_.link_degrade_probability > 0.0 &&
-        UnitUniform(Hash(spec_.seed, kLinkTag,
-                         static_cast<uint64_t>(src),
-                         static_cast<uint64_t>(dst))) <
-            spec_.link_degrade_probability) {
-        factor *= spec_.link_degrade_factor;
-    }
-    return factor;
+    return PersistentLinkFactors(spec_, src, dst).bandwidth;
 }
 
 double
 FaultModel::LinkLatencyFactor(int64_t src, int64_t dst) const
 {
     if (fault_free_) return 1.0;
-    double factor = 1.0;
-    for (const LinkFault& fault : spec_.link_faults) {
-        if (fault.src == src && fault.dst == dst) {
-            factor *= fault.latency_factor;
-        }
-    }
-    if (spec_.link_degrade_probability > 0.0 &&
-        UnitUniform(Hash(spec_.seed, kLinkTag,
-                         static_cast<uint64_t>(src),
-                         static_cast<uint64_t>(dst))) <
-            spec_.link_degrade_probability) {
-        factor *= spec_.link_degrade_latency_factor;
-    }
-    return factor;
+    return PersistentLinkFactors(spec_, src, dst).latency;
 }
 
 double
@@ -199,45 +209,88 @@ FaultModel::TrialChipFactor(int64_t chip, int64_t trial) const
     return factor;
 }
 
-double
-FaultModel::SlowestLinkFactor(const Mesh& mesh, int64_t axis,
-                              int64_t direction, int64_t trial) const
+RingFaultTable::RingFaultTable(const FaultModel& fault, const Mesh& mesh)
+    : channel_bandwidth_(static_cast<size_t>(mesh.num_axes()) * 2, 1.0),
+      channel_latency_(channel_bandwidth_.size(), 1.0)
 {
-    if (fault_free_) return 1.0;
-    int64_t step = direction == 0 ? -1 : 1;
-    double worst = 1.0;
-    for (int64_t d = 0; d < mesh.num_devices(); ++d) {
-        int64_t dst = mesh.RingNeighbor(d, axis, step);
-        if (dst == d) continue;  // axis of size 1: no links
-        worst = std::min(worst, TrialLinkFactor(d, dst, trial));
+    if (fault.fault_free()) return;
+    const FaultSpec& spec = fault.spec();
+    link_jitter_ = spec.link_jitter;
+    compute_jitter_ = spec.compute_jitter;
+    const uint64_t link_base = StreamBase(spec.seed, kLinkJitterTag);
+    if (link_jitter_ > 0.0) channel_links_.resize(channel_bandwidth_.size());
+    for (int64_t axis = 0; axis < mesh.num_axes(); ++axis) {
+        DeviceGroups ring = mesh.AxisGroups(axis);
+        if (ring.size == 1) continue;  // an axis of size 1 has no links
+        for (int64_t src = 0; src < mesh.num_devices(); ++src) {
+            int64_t pos = ring.Position(src);
+            for (int64_t dir = 0; dir < 2; ++dir) {
+                // Direction 0 steps one ring position down, 1 one up.
+                int64_t dst = ring.Member(
+                    src, (pos + (dir == 0 ? ring.size - 1 : 1)) % ring.size);
+                size_t c = static_cast<size_t>(axis * 2 + dir);
+                LinkFactors link = PersistentLinkFactors(spec, src, dst);
+                channel_bandwidth_[c] =
+                    std::min(channel_bandwidth_[c], link.bandwidth);
+                channel_latency_[c] =
+                    std::max(channel_latency_[c], link.latency);
+                if (link_jitter_ > 0.0) {
+                    channel_links_[c].push_back(
+                        {link.bandwidth,
+                         Fold(Fold(link_base, static_cast<uint64_t>(src)),
+                              static_cast<uint64_t>(dst))});
+                }
+            }
+        }
     }
-    return worst;
+    const uint64_t chip_base = StreamBase(spec.seed, kChipJitterTag);
+    for (int64_t chip = 0; chip < mesh.num_devices(); ++chip) {
+        double factor = fault.ChipComputeFactor(chip);
+        compute_ = std::min(compute_, factor);
+        if (compute_jitter_ > 0.0) {
+            chips_.push_back(
+                {factor, Fold(chip_base, static_cast<uint64_t>(chip))});
+        }
+    }
 }
 
-double
-FaultModel::WorstLinkLatencyFactor(const Mesh& mesh, int64_t axis,
-                                   int64_t direction) const
+TrialRingFactors
+RingFaultTable::Trial(int64_t trial) const
 {
-    if (fault_free_) return 1.0;
-    int64_t step = direction == 0 ? -1 : 1;
-    double worst = 1.0;
-    for (int64_t d = 0; d < mesh.num_devices(); ++d) {
-        int64_t dst = mesh.RingNeighbor(d, axis, step);
-        if (dst == d) continue;
-        worst = std::max(worst, LinkLatencyFactor(d, dst));
+    TrialRingFactors factors;
+    factors.channel_bandwidth = channel_bandwidth_;
+    factors.compute = compute_;
+    // The last Hash rounds of FaultModel::TrialLinkFactor and
+    // TrialChipFactor, on the stored prefixes.
+    const uint64_t mixed_trial = Mix64(static_cast<uint64_t>(trial));
+    if (link_jitter_ > 0.0) {
+        for (size_t c = 0; c < channel_links_.size(); ++c) {
+            double worst = 1.0;
+            for (const Jittered& link : channel_links_[c]) {
+                worst = std::min(
+                    worst, link.persistent *
+                               (1.0 - link_jitter_ *
+                                          UnitUniform(Mix64(
+                                              link.prefix ^ mixed_trial))));
+            }
+            factors.channel_bandwidth[c] = worst;
+        }
     }
-    return worst;
-}
-
-double
-FaultModel::SlowestChipFactor(int64_t num_chips, int64_t trial) const
-{
-    if (fault_free_) return 1.0;
-    double worst = 1.0;
-    for (int64_t chip = 0; chip < num_chips; ++chip) {
-        worst = std::min(worst, TrialChipFactor(chip, trial));
+    if (compute_jitter_ > 0.0) {
+        const uint64_t mixed_zero = Mix64(0);
+        double worst = 1.0;
+        for (const Jittered& chip : chips_) {
+            worst = std::min(
+                worst,
+                chip.persistent *
+                    (1.0 - compute_jitter_ *
+                               UnitUniform(Mix64(
+                                   Mix64(chip.prefix ^ mixed_trial) ^
+                                   mixed_zero))));
+        }
+        factors.compute = worst;
     }
-    return worst;
+    return factors;
 }
 
 TransferOutcome

@@ -199,23 +199,6 @@ class FaultModel {
     double TrialLinkFactor(int64_t src, int64_t dst, int64_t trial) const;
     double TrialChipFactor(int64_t chip, int64_t trial) const;
 
-    // ---- Ring-level aggregates --------------------------------------
-    //
-    // The engine models one SPMD timeline with one channel per
-    // (mesh axis, ring direction); a ring step completes lockstep when
-    // the slowest link finishes, so the channel's effective rate is the
-    // min over the directed links of that axis+direction. Direction
-    // follows the engine's convention: 0 moves data toward the lower
-    // ring position, 1 toward the higher.
-
-    double SlowestLinkFactor(const Mesh& mesh, int64_t axis,
-                             int64_t direction, int64_t trial = 0) const;
-    /** Max latency multiplier over the directed links of axis+direction. */
-    double WorstLinkLatencyFactor(const Mesh& mesh, int64_t axis,
-                                  int64_t direction) const;
-    /** Min compute factor over chips (lockstep at each sync point). */
-    double SlowestChipFactor(int64_t num_chips, int64_t trial = 0) const;
-
     // ---- Transient transfer failures --------------------------------
 
     /**
@@ -268,6 +251,70 @@ class FaultModel {
   private:
     FaultSpec spec_;
     bool fault_free_ = true;
+};
+
+/** One trial's ring-level fault factors (see RingFaultTable::Trial). */
+struct TrialRingFactors {
+    /// Per channel (axis * 2 + direction): the min bandwidth factor over
+    /// the channel's directed links.
+    std::vector<double> channel_bandwidth;
+    /// The min compute factor over the mesh's chips.
+    double compute = 1.0;
+};
+
+/**
+ * A FaultModel folded onto one mesh's rings, once. The engine models
+ * one SPMD timeline with one channel per (mesh axis, ring direction);
+ * a ring step completes lockstep when the slowest link finishes, so a
+ * channel's effective rate is the min over the directed links of that
+ * axis+direction, and its per-hop latency the max. Direction follows
+ * the engine's convention: 0 moves data toward the lower ring position,
+ * 1 toward the higher. Lockstep at each sync point likewise pins
+ * compute to the slowest chip.
+ *
+ * The constructor walks every device once per axis by ring stride and
+ * stores each channel's trial-independent min bandwidth and max
+ * latency factor. Under per-trial jitter it also keeps each link's
+ * (each chip's) persistent factor and the trial-independent prefix of
+ * its jitter hash, so a trial costs one hash round per entity instead
+ * of a full rescan; every factor is bit-identical to the per-entity
+ * queries of FaultModel. A fault-free model yields exactly 1.0
+ * everywhere.
+ */
+class RingFaultTable {
+  public:
+    RingFaultTable(const FaultModel& fault, const Mesh& mesh);
+
+    /**
+     * Per channel (axis * 2 + direction): the max latency multiplier
+     * over the channel's directed links, >= 1. Trial-independent.
+     */
+    const std::vector<double>& channel_latency() const
+    {
+        return channel_latency_;
+    }
+
+    /** The channel bandwidth factors and compute factor of `trial`. */
+    TrialRingFactors Trial(int64_t trial) const;
+
+  private:
+    /** A link or chip under jitter: persistent factor, hash prefix. */
+    struct Jittered {
+        double persistent = 1.0;
+        uint64_t prefix = 0;
+    };
+
+    /// Per channel: min persistent bandwidth factor, max latency factor.
+    std::vector<double> channel_bandwidth_;
+    std::vector<double> channel_latency_;
+    /// Min persistent compute factor over the chips.
+    double compute_ = 1.0;
+    /// link_jitter > 0 only: each channel's directed links.
+    double link_jitter_ = 0.0;
+    std::vector<std::vector<Jittered>> channel_links_;
+    /// compute_jitter > 0 only: every chip.
+    double compute_jitter_ = 0.0;
+    std::vector<Jittered> chips_;
 };
 
 }  // namespace overlap

@@ -5,6 +5,12 @@
 
 namespace overlap {
 
+Mesh::Mesh(std::vector<int64_t> dims) : dims_(std::move(dims))
+{
+    OVERLAP_CHECK(!dims_.empty());
+    for (int64_t d : dims_) OVERLAP_CHECK(d >= 1);
+}
+
 int64_t
 Mesh::num_devices() const
 {
@@ -46,11 +52,11 @@ Mesh::PositionInGroup(int64_t device, int64_t axis) const
 int64_t
 Mesh::RingNeighbor(int64_t device, int64_t axis, int64_t step) const
 {
-    std::vector<int64_t> coords = Coords(device);
-    int64_t size = dims_[static_cast<size_t>(axis)];
-    coords[static_cast<size_t>(axis)] =
-        ((coords[static_cast<size_t>(axis)] + step) % size + size) % size;
-    return DeviceAt(coords);
+    OVERLAP_CHECK(device >= 0 && device < num_devices());
+    DeviceGroups groups = AxisGroups(axis);
+    int64_t size = groups.size;
+    return groups.Member(
+        device, ((groups.Position(device) + step) % size + size) % size);
 }
 
 std::string

@@ -79,6 +79,9 @@ class Mesh {
     /** 2-D mesh (torus) of shape [m, n]. */
     Mesh(int64_t m, int64_t n) : dims_{m, n} {}
 
+    /** Mesh of any rank, axis sizes in `dims` (each >= 1). */
+    explicit Mesh(std::vector<int64_t> dims);
+
     int64_t num_axes() const { return static_cast<int64_t>(dims_.size()); }
     int64_t axis_size(int64_t axis) const { return dims_.at(axis); }
     int64_t num_devices() const;

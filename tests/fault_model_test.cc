@@ -8,7 +8,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/overlap_compiler.h"
 #include "core/pod_runner.h"
@@ -17,6 +21,7 @@
 #include "models/fault_presets.h"
 #include "sim/engine.h"
 #include "sim/fault_model.h"
+#include "support/strings.h"
 
 namespace overlap {
 namespace {
@@ -47,10 +52,11 @@ TEST(FaultModelTest, DefaultModelIsExactlyFaultFree)
         EXPECT_EQ(fault.LinkLatencyFactor(d, (d + 1) % 8), 1.0);
         EXPECT_EQ(fault.TrialChipFactor(d, 5), 1.0);
     }
-    EXPECT_EQ(fault.SlowestLinkFactor(mesh, 0, 0), 1.0);
-    EXPECT_EQ(fault.SlowestLinkFactor(mesh, 0, 1), 1.0);
-    EXPECT_EQ(fault.WorstLinkLatencyFactor(mesh, 0, 0), 1.0);
-    EXPECT_EQ(fault.SlowestChipFactor(8, 3), 1.0);
+    RingFaultTable table(fault, mesh);
+    TrialRingFactors trial = table.Trial(3);
+    EXPECT_EQ(trial.channel_bandwidth, std::vector<double>(2, 1.0));
+    EXPECT_EQ(table.channel_latency(), std::vector<double>(2, 1.0));
+    EXPECT_EQ(trial.compute, 1.0);
     EXPECT_EQ(fault.TransferFailures(17, 4), 0);
 }
 
@@ -129,11 +135,195 @@ TEST(FaultModelTest, ExplicitFaultsOverrideAndAggregate)
     EXPECT_EQ(fault.LinkLatencyFactor(link.src, link.dst), 4.0);
     EXPECT_EQ(fault.LinkBandwidthFactor(1, 0), 1.0);
     // Ring lockstep: the slowest link of the direction is the channel rate.
-    EXPECT_EQ(fault.SlowestLinkFactor(mesh, 0, 0), 0.25);
-    EXPECT_EQ(fault.SlowestLinkFactor(mesh, 0, 1), 1.0);
-    EXPECT_EQ(fault.WorstLinkLatencyFactor(mesh, 0, 0), 4.0);
-    EXPECT_EQ(fault.SlowestChipFactor(8), 0.5);
-    EXPECT_EQ(fault.SlowestChipFactor(3), 1.0);  // chip 3 outside pod
+    RingFaultTable table(fault, mesh);
+    TrialRingFactors trial = table.Trial(0);
+    EXPECT_EQ(trial.channel_bandwidth, (std::vector<double>{0.25, 1.0}));
+    EXPECT_EQ(table.channel_latency(), (std::vector<double>{4.0, 1.0}));
+    EXPECT_EQ(trial.compute, 0.5);
+    // Chip 3 lies outside a 3-chip pod.
+    EXPECT_EQ(RingFaultTable(fault, Mesh(3)).Trial(0).compute, 1.0);
+}
+
+// ---- Ring-fault table oracle ------------------------------------------
+//
+// Test-local copies of the per-device scans the engine and the §5.5
+// gate ran before RingFaultTable existed, coordinate-decoding ring
+// neighbour included. The table folds the same factors by ring stride
+// and hash prefix; it must reproduce every scan bit for bit.
+
+int64_t
+ReferenceRingNeighbor(const Mesh& mesh, int64_t device, int64_t axis,
+                      int64_t step)
+{
+    std::vector<int64_t> coords = mesh.Coords(device);
+    int64_t size = mesh.axis_size(axis);
+    size_t a = static_cast<size_t>(axis);
+    coords[a] = ((coords[a] + step) % size + size) % size;
+    return mesh.DeviceAt(coords);
+}
+
+double
+ReferenceSlowestLinkFactor(const FaultModel& fault, const Mesh& mesh,
+                           int64_t axis, int64_t direction, int64_t trial)
+{
+    if (fault.fault_free()) return 1.0;
+    int64_t step = direction == 0 ? -1 : 1;
+    double worst = 1.0;
+    for (int64_t d = 0; d < mesh.num_devices(); ++d) {
+        int64_t dst = ReferenceRingNeighbor(mesh, d, axis, step);
+        if (dst == d) continue;  // axis of size 1: no links
+        worst = std::min(worst, fault.TrialLinkFactor(d, dst, trial));
+    }
+    return worst;
+}
+
+double
+ReferenceWorstLinkLatencyFactor(const FaultModel& fault, const Mesh& mesh,
+                                int64_t axis, int64_t direction)
+{
+    if (fault.fault_free()) return 1.0;
+    int64_t step = direction == 0 ? -1 : 1;
+    double worst = 1.0;
+    for (int64_t d = 0; d < mesh.num_devices(); ++d) {
+        int64_t dst = ReferenceRingNeighbor(mesh, d, axis, step);
+        if (dst == d) continue;
+        worst = std::max(worst, fault.LinkLatencyFactor(d, dst));
+    }
+    return worst;
+}
+
+double
+ReferenceSlowestChipFactor(const FaultModel& fault, int64_t num_chips,
+                           int64_t trial)
+{
+    if (fault.fault_free()) return 1.0;
+    double worst = 1.0;
+    for (int64_t chip = 0; chip < num_chips; ++chip) {
+        worst = std::min(worst, fault.TrialChipFactor(chip, trial));
+    }
+    return worst;
+}
+
+/**
+ * Explicit link and chip faults on top of seeded degradation,
+ * stragglers and jitter: one explicit link is degraded twice (the
+ * factors multiply) on the mesh's first ring axis.
+ */
+FaultSpec
+ExplicitFaultSpec(const Mesh& mesh)
+{
+    int64_t axis = mesh.axis_size(0) > 1 ? 0 : 1;
+    FaultSpec spec;
+    spec.seed = 77;
+    LinkFault link;
+    link.src = 1;
+    link.dst = ReferenceRingNeighbor(mesh, 1, axis, -1);
+    link.bandwidth_factor = 0.3;
+    link.latency_factor = 3.0;
+    spec.link_faults = {link, link};
+    LinkFault up = link;
+    up.dst = ReferenceRingNeighbor(mesh, 1, axis, 1);
+    up.bandwidth_factor = 0.7;
+    up.latency_factor = 1.5;
+    spec.link_faults.push_back(up);
+    ChipFault chip;
+    chip.chip = 2;
+    chip.compute_factor = 0.6;
+    spec.chip_faults.push_back(chip);
+    spec.link_degrade_probability = 0.1;
+    spec.straggler_probability = 0.1;
+    spec.straggler_factor = 0.4;
+    spec.link_jitter = 0.2;
+    spec.compute_jitter = 0.1;
+    return spec;
+}
+
+TEST(RingFaultTableOracleTest, MatchesPerDeviceScansExactly)
+{
+    const std::vector<Mesh> meshes = {Mesh(16, 128), Mesh(4, 16),
+                                      Mesh(1, 8), Mesh(8, 1), Mesh(2, 2)};
+    const int64_t trials[] = {0, 1, 5, 999999};
+    int64_t degraded_factors = 0;
+    for (const Mesh& mesh : meshes) {
+        const std::vector<std::pair<std::string, FaultSpec>> specs = {
+            {"healthy", FaultSpec()},
+            {"aging_pod", AgingPod(/*seed=*/5).spec},
+            {"flaky_fabric", FlakyFabric(0.02, /*seed=*/6).spec},
+            {"explicit", ExplicitFaultSpec(mesh)}};
+        for (const auto& [name, spec] : specs) {
+            FaultModel fault(spec);
+            RingFaultTable table(fault, mesh);
+            ASSERT_EQ(table.channel_latency().size(),
+                      static_cast<size_t>(mesh.num_axes()) * 2);
+            for (int64_t trial : trials) {
+                TrialRingFactors factors = table.Trial(trial);
+                ASSERT_EQ(factors.channel_bandwidth.size(),
+                          table.channel_latency().size());
+                for (int64_t axis = 0; axis < mesh.num_axes(); ++axis) {
+                    for (int64_t dir = 0; dir < 2; ++dir) {
+                        size_t c = static_cast<size_t>(axis * 2 + dir);
+                        std::string where =
+                            StrCat(mesh.ToString(), " ", name, " trial ",
+                                   trial, " axis ", axis, " dir ", dir);
+                        double bandwidth = ReferenceSlowestLinkFactor(
+                            fault, mesh, axis, dir, trial);
+                        EXPECT_EQ(factors.channel_bandwidth[c], bandwidth)
+                            << where;
+                        EXPECT_EQ(table.channel_latency()[c],
+                                  ReferenceWorstLinkLatencyFactor(
+                                      fault, mesh, axis, dir))
+                            << where;
+                        if (bandwidth != 1.0) ++degraded_factors;
+                    }
+                }
+                double compute = ReferenceSlowestChipFactor(
+                    fault, mesh.num_devices(), trial);
+                EXPECT_EQ(factors.compute, compute)
+                    << mesh.ToString() << " " << name << " trial " << trial;
+                if (compute != 1.0) ++degraded_factors;
+            }
+        }
+    }
+    // The oracle compares degraded factors, not only the healthy 1.0.
+    EXPECT_GT(degraded_factors, 100);
+}
+
+TEST(FaultModelTest, RunTrialsMatchesOneRunPerTrial)
+{
+    Mesh mesh(8);
+    auto module = BuildLargeAllGatherModule(mesh);
+    CompilerOptions force;
+    force.decompose.use_cost_model = false;
+    ASSERT_TRUE(OverlapCompiler(force).Compile(module.get()).ok());
+
+    FaultSpec noisy = AgingPod(/*seed=*/5).spec;
+    noisy.transient_failure_probability = 0.2;
+    PodSimulator sim(mesh, HardwareSpec(), FaultModel(noisy));
+    constexpr int64_t kTrials = 16;
+    auto stats = sim.RunTrials(*module, kTrials);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+
+    // RunTrials prepares once; each trial must equal an independent
+    // prepare-and-run of the module.
+    std::vector<double> samples;
+    int64_t retries = 0;
+    double backoff = 0.0;
+    double stall = 0.0;
+    for (int64_t trial = 0; trial < kTrials; ++trial) {
+        auto run = sim.Run(*module, /*collect_trace=*/false, trial);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        samples.push_back(run->step_seconds);
+        retries += run->retry.retries;
+        backoff += run->retry.backoff_seconds;
+        stall += run->straggler_stall_seconds;
+    }
+    EXPECT_EQ(stats->step_seconds, samples);
+    EXPECT_EQ(stats->total_retries, retries);
+    EXPECT_EQ(stats->total_backoff_seconds, backoff);
+    EXPECT_EQ(stats->total_straggler_stall_seconds, stall);
+    EXPECT_GT(retries, 0);
+    EXPECT_GT(stall, 0.0);
+    EXPECT_GT(stats->max_step_seconds, stats->min_step_seconds);
 }
 
 TEST(FaultModelTest, FaultFreeSimulationIsBitIdentical)

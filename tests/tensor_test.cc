@@ -243,6 +243,29 @@ TEST(MeshTest, RingNeighborWraps)
     EXPECT_EQ(torus.RingNeighbor(1, 0, 1), 5);
 }
 
+TEST(MeshTest, RingNeighborMatchesCoordinateArithmetic)
+{
+    // Stride arithmetic must agree with decoding the coordinates,
+    // stepping one of them around its ring and re-encoding, on every
+    // axis (the size-1 axis maps each device to itself) and for steps
+    // beyond one lap in both directions.
+    Mesh mesh(std::vector<int64_t>{3, 1, 4});
+    for (int64_t axis = 0; axis < mesh.num_axes(); ++axis) {
+        int64_t size = mesh.axis_size(axis);
+        for (int64_t d = 0; d < mesh.num_devices(); ++d) {
+            for (int64_t step : {-5, -1, 0, 1, 2, 7}) {
+                std::vector<int64_t> coords = mesh.Coords(d);
+                int64_t& c = coords[static_cast<size_t>(axis)];
+                c = ((c + step) % size + size) % size;
+                EXPECT_EQ(mesh.RingNeighbor(d, axis, step),
+                          mesh.DeviceAt(coords))
+                    << "device " << d << " axis " << axis << " step "
+                    << step;
+            }
+        }
+    }
+}
+
 TEST(MeshTest, AxisOf)
 {
     Mesh mesh(2, 4);
