@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the compiler passes themselves:
  * decomposition, async conversion, fusion, the two schedulers, the
- * topological sort and the §5.5 loop replay. Scheduler arguments are
+ * topological sort, the verifier and the §5.5 loop replay. Scheduler arguments are
  * ring sizes, with 0 for the GPT_1T step on 2048 chips. These
  * measure *compile time* of the technique (the paper's optimization runs
  * automatically during compilation), not simulated device time.
@@ -14,6 +14,7 @@
 
 #include "core/overlap_compiler.h"
 #include "hlo/builder.h"
+#include "hlo/verifier.h"
 #include "models/step_builder.h"
 #include "passes/async.h"
 #include "passes/decompose.h"
@@ -160,6 +161,34 @@ BM_SortTopologically(benchmark::State& state)
                    " instrs");
 }
 BENCHMARK(BM_SortTopologically)->Arg(0)->Arg(1);
+
+/**
+ * VerifyModule on the compiled GPT_1T layer step. Arg 0 ("fresh")
+ * verifies a clone, which carries no shape verdicts: a full verify.
+ * Arg 1 ("again") re-verifies the compiled module, whose verdicts all
+ * hold: the structural checks alone, as the pass guard pays them for
+ * every instruction a pass left alone.
+ */
+void
+BM_VerifyModule(benchmark::State& state)
+{
+    CompileReport report;
+    auto module = CompiledStep(1, &report);
+    const bool fresh = state.range(0) == 0;
+    std::unique_ptr<HloModule> clone;
+    for (auto _ : state) {
+        if (fresh) {
+            state.PauseTiming();
+            clone = module->Clone();
+            state.ResumeTiming();
+        }
+        Status status = VerifyModule(fresh ? *clone : *module);
+        benchmark::DoNotOptimize(status);
+    }
+    state.SetLabel(std::to_string(module->entry()->instruction_count()) +
+                   (fresh ? " instrs fresh" : " instrs again"));
+}
+BENCHMARK(BM_VerifyModule)->Arg(0)->Arg(1);
 
 /** The §5.5 replay of every loop the gate costed in a layer step. */
 void

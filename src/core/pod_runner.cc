@@ -1,6 +1,7 @@
 #include "core/pod_runner.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "core/recovery/checkpoint.h"
@@ -253,8 +254,16 @@ RunElasticTraining(const Mesh& mesh, const ElasticRunOptions& options)
     // Detections localized per chip (current-mesh ids); hitting the
     // strike limit quarantines the chip via a survivor-mesh replan.
     std::unordered_map<int64_t, int64_t> sdc_strikes;
+    // The program's step prepared on the current simulator; both are
+    // replaced together (survivor replan, SDC rebuild), which resets it.
+    std::optional<PreparedStep> prepared;
     while (step < options.num_steps) {
-        auto outcome = simulator.RunStep(*program->module, step);
+        if (!prepared.has_value()) {
+            auto prepare = simulator.Prepare(*program->module);
+            if (!prepare.ok()) return prepare.status();
+            prepared = std::move(prepare).value();
+        }
+        auto outcome = simulator.RunStep(*prepared, step);
         if (!outcome.ok()) return outcome.status();
         if (outcome->failed) {
             const FailureReport& failure = outcome->failure;
@@ -301,6 +310,7 @@ RunElasticTraining(const Mesh& mesh, const ElasticRunOptions& options)
             simulator = PodSimulator(current_mesh,
                                      options.compiler.hardware,
                                      FaultModel(current_fault));
+            prepared.reset();
             report.recovery.replayed_steps = step - store.latest_step();
             replay_until = step;
             step = store.latest_step();
@@ -419,6 +429,7 @@ RunElasticTraining(const Mesh& mesh, const ElasticRunOptions& options)
                 simulator = PodSimulator(current_mesh,
                                          options.compiler.hardware,
                                          FaultModel(current_fault));
+                prepared.reset();
                 report.sdc.replayed_steps += step - clean_step;
                 sdc_replay_until = std::max(sdc_replay_until, step);
                 step = clean_step;

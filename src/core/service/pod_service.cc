@@ -1,6 +1,7 @@
 #include "core/service/pod_service.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -242,6 +243,27 @@ PodService::Run()
     FaultSpec current_fault = options_.compiler.fault;
     PodSimulator simulator(current_mesh, options_.compiler.hardware,
                            FaultModel(current_fault));
+    // Each workload's step prepared on the current simulator, by
+    // JobClass: built on first use, reset whenever the simulator or the
+    // compiled workloads are replaced.
+    std::optional<PreparedStep> prepared[2];
+    auto prepared_step =
+        [&](JobClass job) -> StatusOr<const PreparedStep*> {
+        std::optional<PreparedStep>& slot = prepared[static_cast<int>(job)];
+        if (!slot.has_value()) {
+            auto prepare = simulator.Prepare(job == JobClass::kTraining
+                                                 ? *program->module
+                                                 : *tower->module);
+            if (!prepare.ok()) return prepare.status();
+            slot = std::move(prepare).value();
+        }
+        return &*slot;
+    };
+    auto replace_simulator = [&]() {
+        simulator = PodSimulator(current_mesh, options_.compiler.hardware,
+                                 FaultModel(current_fault));
+        for (std::optional<PreparedStep>& slot : prepared) slot.reset();
+    };
 
     ClassStats* stats[2] = {nullptr, nullptr};
     stats[static_cast<int>(JobClass::kTraining)] = &report.training;
@@ -284,8 +306,7 @@ PodService::Run()
                                       c.chip == rep.chip;
                            }),
             injections.end());
-        simulator = PodSimulator(current_mesh, options_.compiler.hardware,
-                                 FaultModel(current_fault));
+        replace_simulator();
     };
     auto strike = [&](int64_t chip, int64_t at_step) {
         if (++sdc_strikes[chip] < options_.sdc_strike_limit) return;
@@ -393,9 +414,7 @@ PodService::Run()
             tower = std::move(survivor_tower);
             current_mesh = plan->mesh;
             current_fault = plan->fault;
-            simulator =
-                PodSimulator(current_mesh, options_.compiler.hardware,
-                             FaultModel(current_fault));
+            replace_simulator();
 
             if (has_inflight) {
                 ++inflight.attempts;
@@ -437,8 +456,9 @@ PodService::Run()
             // Replay debt outranks new work: the training state must
             // catch back up to the last committed step before the
             // service resumes taking requests.
-            auto outcome = simulator.RunStep(*program->module,
-                                             report.pod_steps,
+            auto step = prepared_step(JobClass::kTraining);
+            if (!step.ok()) return step.status();
+            auto outcome = simulator.RunStep(**step, report.pod_steps,
                                              /*collect_trace=*/false,
                                              replay_trial++);
             if (!outcome.ok()) return outcome.status();
@@ -487,12 +507,11 @@ PodService::Run()
 
         ServiceRequest request;
         queue.Pop(&request);
-        const HloModule& module = request.job == JobClass::kTraining
-                                      ? *program->module
-                                      : *tower->module;
+        auto step = prepared_step(request.job);
+        if (!step.ok()) return step.status();
         const int64_t step_index = report.pod_steps;
         auto outcome =
-            simulator.RunStep(module, step_index,
+            simulator.RunStep(**step, step_index,
                               /*collect_trace=*/false,
                               RequestTrial(request));
         if (!outcome.ok()) return outcome.status();

@@ -76,6 +76,7 @@ HloInstruction::ReplaceOperand(int64_t i, HloInstruction* replacement)
 {
     HloInstruction* old = operands_.at(static_cast<size_t>(i));
     if (old == replacement) return;
+    ClearShapeVerdict();
     operands_[static_cast<size_t>(i)] = replacement;
     // `old` may appear as another operand of this instruction; only drop
     // the user edge when the last occurrence is gone.

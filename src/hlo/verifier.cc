@@ -115,6 +115,69 @@ VerifyCollective(const HloInstruction* instr, const Mesh* mesh)
     return Status::Ok();
 }
 
+/**
+ * The attached schedule, if any: a permutation of the instruction list,
+ * a topological order, and each fusion group's members back to back.
+ * `members[id]` is the computation's instruction with that id, or null.
+ */
+Status
+CheckSchedule(const HloComputation& computation,
+              const std::vector<const HloInstruction*>& members)
+{
+    if (!computation.has_schedule()) return Status::Ok();
+    const auto& schedule = computation.schedule();
+    if (static_cast<int64_t>(schedule.size()) !=
+        computation.instruction_count()) {
+        return InvalidArgument("schedule length mismatch");
+    }
+    const size_t bound = members.size();
+    auto is_member = [&](const HloInstruction* instr) {
+        const size_t id = static_cast<size_t>(instr->id());
+        return id < bound && members[id] == instr;
+    };
+    // A fusion group runs as one kernel, so its members must sit
+    // back to back: each group (keyed by its leader) may open only
+    // one run in the schedule.
+    const std::vector<int64_t> leaders = computation.FusionGroupLeaders();
+    std::vector<bool> scheduled(bound, false);
+    std::vector<bool> group_opened(bound, false);
+    int64_t previous_leader = -1;
+    for (const HloInstruction* instr : schedule) {
+        if (!is_member(instr)) {
+            return InvalidArgument(StrCat("schedule names %", instr->name(),
+                                          ", which is not in the "
+                                          "computation"));
+        }
+        const size_t id = static_cast<size_t>(instr->id());
+        for (const HloInstruction* operand : instr->operands()) {
+            // VerifySchedule runs without the operand checks, so an
+            // operand from elsewhere must not index `scheduled`.
+            if (!is_member(operand) ||
+                !scheduled[static_cast<size_t>(operand->id())]) {
+                return InvalidArgument(
+                    StrCat("schedule places %", instr->name(),
+                           " before its operand %", operand->name()));
+            }
+        }
+        if (scheduled[id]) {
+            return InvalidArgument(StrCat("schedule repeats %",
+                                          instr->name()));
+        }
+        scheduled[id] = true;
+        const int64_t leader = leaders[id];
+        if (leader != previous_leader) {
+            if (group_opened[static_cast<size_t>(leader)]) {
+                return InvalidArgument(
+                    StrCat("schedule splits fusion group ",
+                           instr->fusion_group(), " at %", instr->name()));
+            }
+            group_opened[static_cast<size_t>(leader)] = true;
+        }
+        previous_leader = leader;
+    }
+    return Status::Ok();
+}
+
 }  // namespace
 
 Status
@@ -160,7 +223,12 @@ VerifyComputation(const HloComputation& computation, const Mesh* mesh)
                                        instr->name()));
             }
         }
-        OVERLAP_RETURN_IF_ERROR(VerifyShape(instr));
+        // Shape inference runs once per instruction: the verdict holds
+        // until a change of operand or attribute clears it.
+        if (!instr->shape_verified_.load(std::memory_order_relaxed)) {
+            OVERLAP_RETURN_IF_ERROR(VerifyShape(instr));
+            instr->shape_verified_.store(true, std::memory_order_relaxed);
+        }
         OVERLAP_RETURN_IF_ERROR(VerifyCollective(instr, mesh));
         if (instr->opcode() == HloOpcode::kParameter) {
             ++param_count;
@@ -183,53 +251,19 @@ VerifyComputation(const HloComputation& computation, const Mesh* mesh)
         return InvalidArgument("root is not in the computation");
     }
 
-    if (computation.has_schedule()) {
-        const auto& schedule = computation.schedule();
-        if (schedule.size() != instrs.size()) {
-            return InvalidArgument("schedule length mismatch");
-        }
-        // A fusion group runs as one kernel, so its members must sit
-        // back to back: each group (keyed by its leader) may open only
-        // one run in the schedule.
-        const std::vector<int64_t> leaders =
-            computation.FusionGroupLeaders();
-        std::vector<bool> scheduled(bound, false);
-        std::vector<bool> group_opened(bound, false);
-        int64_t previous_leader = -1;
-        for (const HloInstruction* instr : schedule) {
-            if (!is_defined(instr)) {
-                return InvalidArgument(StrCat("schedule names %",
-                                              instr->name(),
-                                              ", which is not in the "
-                                              "computation"));
-            }
-            const size_t id = static_cast<size_t>(instr->id());
-            for (const HloInstruction* operand : instr->operands()) {
-                if (!scheduled[static_cast<size_t>(operand->id())]) {
-                    return InvalidArgument(
-                        StrCat("schedule places %", instr->name(),
-                               " before its operand %", operand->name()));
-                }
-            }
-            if (scheduled[id]) {
-                return InvalidArgument(StrCat(
-                    "schedule repeats %", instr->name()));
-            }
-            scheduled[id] = true;
-            const int64_t leader = leaders[id];
-            if (leader != previous_leader) {
-                if (group_opened[static_cast<size_t>(leader)]) {
-                    return InvalidArgument(
-                        StrCat("schedule splits fusion group ",
-                               instr->fusion_group(), " at %",
-                               instr->name()));
-                }
-                group_opened[static_cast<size_t>(leader)] = true;
-            }
-            previous_leader = leader;
-        }
+    return CheckSchedule(computation, defined);
+}
+
+Status
+VerifySchedule(const HloComputation& computation)
+{
+    if (!computation.has_schedule()) return Status::Ok();
+    std::vector<const HloInstruction*> members(
+        static_cast<size_t>(computation.id_bound()), nullptr);
+    for (const HloInstruction* instr : computation.instructions()) {
+        members[static_cast<size_t>(instr->id())] = instr;
     }
-    return Status::Ok();
+    return CheckSchedule(computation, members);
 }
 
 Status

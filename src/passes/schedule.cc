@@ -377,7 +377,7 @@ ScheduleComputation(HloComputation* computation, const CostModel& cost,
     std::vector<HloInstruction*> schedule =
         SchedGraph::ExpandToInstructions(order);
     computation->set_schedule(std::move(schedule));
-    Status verified = VerifyComputation(*computation);
+    Status verified = VerifySchedule(*computation);
     if (!verified.ok()) {
         computation->clear_schedule();
         return Internal(StrCat("scheduler produced an invalid order: ",
