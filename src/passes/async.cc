@@ -20,10 +20,12 @@ CreateAsyncCollectivePermutes(HloComputation* computation)
         int64_t channel = instr->attrs().channel_id >= 0
                               ? instr->attrs().channel_id
                               : next_channel++;
-        start->mutable_attrs().channel_id = channel;
-        done->mutable_attrs().channel_id = channel;
+        start->UpdateAttrs([&](InstrAttrs& a) { a.channel_id = channel; });
+        done->UpdateAttrs([&](InstrAttrs& a) { a.channel_id = channel; });
         // A ring-decomposed-A2A chunk permute keeps its chunk tag.
-        start->mutable_attrs().a2a_chunk = instr->attrs().a2a_chunk;
+        start->UpdateAttrs([&](InstrAttrs& a) {
+            a.a2a_chunk = instr->attrs().a2a_chunk;
+        });
         start->set_loop_group(instr->loop_group());
         done->set_loop_group(instr->loop_group());
         start->set_fusion_group(instr->fusion_group());
@@ -51,7 +53,7 @@ CreateAsyncAllToAlls(HloComputation* computation)
         int64_t channel = instr->attrs().channel_id >= 0
                               ? instr->attrs().channel_id
                               : next_channel++;
-        start->mutable_attrs().channel_id = channel;
+        start->UpdateAttrs([&](InstrAttrs& a) { a.channel_id = channel; });
         HloInstruction* done = builder.AllToAllDone(start);
         start->set_loop_group(instr->loop_group());
         done->set_loop_group(instr->loop_group());

@@ -441,7 +441,7 @@ class LoopEmitter {
         if (((k % n_) + n_) % n_ == 0) return value;
         HloInstruction* permute = builder_.CollectivePermute(
             MaybeCopy(value), mesh_.RingShift(site_.mesh_axis, k));
-        permute->mutable_attrs().a2a_chunk = k;
+        permute->UpdateAttrs([&](InstrAttrs& a) { a.a2a_chunk = k; });
         return permute;
     }
 

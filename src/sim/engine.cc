@@ -901,15 +901,6 @@ PodSimulator::Run(const PreparedStep& prepared, bool collect_trace,
     return std::move(outcome)->result;
 }
 
-StatusOr<StepOutcome>
-PodSimulator::RunStep(const HloModule& module, int64_t step_index,
-                      bool collect_trace, int64_t trial) const
-{
-    auto prepared = Prepare(module);
-    if (!prepared.ok()) return prepared.status();
-    return RunStep(*prepared, step_index, collect_trace, trial);
-}
-
 StatusOr<SimResult>
 PodSimulator::Run(const HloModule& module, bool collect_trace,
                   int64_t trial) const

@@ -307,12 +307,6 @@ class PodSimulator {
                             bool collect_trace = false,
                             int64_t trial = 0) const;
 
-    /** Prepare(module), then RunStep. */
-    StatusOr<StepOutcome> RunStep(const HloModule& module,
-                                  int64_t step_index,
-                                  bool collect_trace = false,
-                                  int64_t trial = 0) const;
-
     /** Prepare(module), then Run. */
     StatusOr<SimResult> Run(const HloModule& module,
                             bool collect_trace = false,

@@ -89,7 +89,10 @@ FaultedLayerSeconds(const ModelConfig& config,
     if (!compiled.ok()) return 0.0;
     PodSimulator simulator(config.mesh(), options.hardware,
                            FaultModel(fault));
-    auto outcome = simulator.RunStep(**module, /*step_index=*/0);
+    auto prepared = simulator.Prepare(**module);
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+    if (!prepared.ok()) return 0.0;
+    auto outcome = simulator.RunStep(*prepared, /*step_index=*/0);
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
     if (!outcome.ok()) return 0.0;
     EXPECT_TRUE(outcome->failed) << config.name << " survived the fault";

@@ -185,7 +185,9 @@ TEST(EngineHangTest, RetryExhaustionEscalatesToWatchdogReport)
     auto module = RingPermuteModule(mesh);
     PodSimulator simulator(mesh, HardwareSpec(),
                            FaultModel(AlwaysFailingTransfers()));
-    auto outcome = simulator.RunStep(*module, /*step_index=*/3);
+    auto prepared = simulator.Prepare(*module);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto outcome = simulator.RunStep(*prepared, /*step_index=*/3);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_TRUE(outcome->failed);
     const FailureReport& failure = outcome->failure;
@@ -213,7 +215,9 @@ TEST(EngineHangTest, ExhaustionRacesWatchdogAtEveryWindowSize)
         FaultSpec spec = AlwaysFailingTransfers();
         spec.watchdog_timeout_seconds = window;
         PodSimulator simulator(mesh, HardwareSpec(), FaultModel(spec));
-        auto outcome = simulator.RunStep(*module, /*step_index=*/0);
+        auto prepared = simulator.Prepare(*module);
+        ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+        auto outcome = simulator.RunStep(*prepared, /*step_index=*/0);
         ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
         ASSERT_TRUE(outcome->failed) << "window=" << window;
         EXPECT_EQ(outcome->failure.cause,
@@ -230,8 +234,10 @@ TEST(EngineHangTest, ExhaustionReportIsDeterministicPerTrial)
     auto module = RingPermuteModule(mesh);
     PodSimulator simulator(mesh, HardwareSpec(),
                            FaultModel(AlwaysFailingTransfers()));
-    auto a = simulator.RunStep(*module, 0, false, /*trial=*/17);
-    auto b = simulator.RunStep(*module, 0, false, /*trial=*/17);
+    auto prepared = simulator.Prepare(*module);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto a = simulator.RunStep(*prepared, 0, false, /*trial=*/17);
+    auto b = simulator.RunStep(*prepared, 0, false, /*trial=*/17);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_TRUE(a->failed);
@@ -253,9 +259,11 @@ TEST(EngineHangTest, SubExhaustionTransientsCompleteWithRetryStats)
     PodSimulator simulator(mesh, HardwareSpec(), FaultModel(spec));
     // The per-trial draws are deterministic; at 0.9 per-attempt failure
     // some trial in any small window retries at least once.
+    auto prepared = simulator.Prepare(*module);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
     bool saw_retries = false;
     for (int64_t trial = 0; trial < 10; ++trial) {
-        auto outcome = simulator.RunStep(*module, 0, false, trial);
+        auto outcome = simulator.RunStep(*prepared, 0, false, trial);
         ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
         ASSERT_FALSE(outcome->failed) << "trial=" << trial;
         EXPECT_EQ(outcome->result.retry.attempts,

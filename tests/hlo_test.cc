@@ -197,7 +197,7 @@ TEST(VerifierTest, CatchesGroupsThatDoNotTileTheMesh)
     EXPECT_FALSE(status.ok());
     EXPECT_NE(status.message().find("do not tile"), std::string::npos)
         << status.ToString();
-    ar->mutable_attrs().groups = Mesh(4).AxisGroups(0);
+    ar->UpdateAttrs([&](InstrAttrs& a) { a.groups = Mesh(4).AxisGroups(0); });
     EXPECT_TRUE(VerifyModule(module).ok());
 }
 
@@ -217,7 +217,7 @@ TEST(VerifierTest, CatchesIdentityPermuteShift)
     EXPECT_FALSE(status.ok());
     EXPECT_NE(status.message().find("shift nothing"), std::string::npos)
         << status.ToString();
-    permute->mutable_attrs().groups.shift = -3;
+    permute->UpdateAttrs([&](InstrAttrs& a) { a.groups.shift = -3; });
     EXPECT_TRUE(VerifyModule(module).ok());
 }
 
@@ -234,12 +234,12 @@ TEST(VerifierTest, CatchesAxisIndexOutOfMeshRange)
     EXPECT_NE(status.message().find("axis-index axis 7 out of range"),
               std::string::npos)
         << status.ToString();
-    index->mutable_attrs().mesh_axis = 0;
+    index->UpdateAttrs([&](InstrAttrs& a) { a.mesh_axis = 0; });
     EXPECT_TRUE(VerifyModule(module).ok());
     // Without a mesh only a negative axis is known to be wrong.
-    index->mutable_attrs().mesh_axis = 7;
+    index->UpdateAttrs([&](InstrAttrs& a) { a.mesh_axis = 7; });
     EXPECT_TRUE(VerifyComputation(*comp).ok());
-    index->mutable_attrs().mesh_axis = -1;
+    index->UpdateAttrs([&](InstrAttrs& a) { a.mesh_axis = -1; });
     EXPECT_FALSE(VerifyComputation(*comp).ok());
 }
 
@@ -252,7 +252,7 @@ TEST(VerifierTest, CatchesGroupsOnNonCollective)
     HloInstruction* neg = b.Negate(p);
     comp->set_root(neg);
     EXPECT_TRUE(VerifyModule(module).ok());
-    neg->mutable_attrs().groups = Mesh(2).AxisGroups(0);
+    neg->UpdateAttrs([&](InstrAttrs& a) { a.groups = Mesh(2).AxisGroups(0); });
     EXPECT_FALSE(VerifyModule(module).ok());
 }
 

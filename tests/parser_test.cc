@@ -164,7 +164,9 @@ TEST(ParserTest, RoundTripsAsyncAllToAllPair)
     HloBuilder b(comp);
     auto* p = b.Parameter(0, Shape(DType::kBF16, {8, 16}));
     auto* start = b.AllToAllStart(p, 0, mesh.AxisGroups(0));
-    start->mutable_attrs().channel_id = comp->NextChannelId();
+    start->UpdateAttrs([&](InstrAttrs& a) {
+        a.channel_id = comp->NextChannelId();
+    });
     auto* done = b.AllToAllDone(start);
     comp->set_root(done);
     ASSERT_TRUE(VerifyModule(module).ok());
@@ -188,10 +190,10 @@ TEST(ParserTest, RoundTripsChannelIds)
     auto* p = b.Parameter(0, Shape({2, 4}));
     auto* start = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));
     auto* done = b.CollectivePermuteDone(start);
-    start->mutable_attrs().channel_id = 7;
-    done->mutable_attrs().channel_id = 7;
+    start->UpdateAttrs([&](InstrAttrs& a) { a.channel_id = 7; });
+    done->UpdateAttrs([&](InstrAttrs& a) { a.channel_id = 7; });
     auto* ag = b.AllGather(done, 0, mesh.AxisGroups(0));
-    ag->mutable_attrs().channel_id = 8;
+    ag->UpdateAttrs([&](InstrAttrs& a) { a.channel_id = 8; });
     comp->set_root(ag);
 
     std::string text = module.ToString();
@@ -212,11 +214,11 @@ TEST(ParserTest, VerifierRejectsMismatchedStartDoneChannels)
     auto* p = b.Parameter(0, Shape({2}));
     auto* start = b.CollectivePermuteStart(p, mesh.RingShift(0, 1));
     auto* done = b.CollectivePermuteDone(start);
-    start->mutable_attrs().channel_id = 3;
-    done->mutable_attrs().channel_id = 4;
+    start->UpdateAttrs([&](InstrAttrs& a) { a.channel_id = 3; });
+    done->UpdateAttrs([&](InstrAttrs& a) { a.channel_id = 4; });
     comp->set_root(done);
     EXPECT_FALSE(VerifyModule(module).ok());
-    done->mutable_attrs().channel_id = 3;
+    done->UpdateAttrs([&](InstrAttrs& a) { a.channel_id = 3; });
     EXPECT_TRUE(VerifyModule(module).ok());
 }
 
@@ -248,8 +250,9 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
               case 0: {
                   auto* ag = b.AllGather(value, 0, mesh.AxisGroups(axis));
                   if (rng() % 2 == 0) {
-                      ag->mutable_attrs().channel_id =
-                          static_cast<int64_t>(rng() % 100);
+                      ag->UpdateAttrs([&](InstrAttrs& a) {
+                          a.channel_id = static_cast<int64_t>(rng() % 100);
+                      });
                   }
                   // Keep shapes stable: scatter straight back.
                   value = b.ReduceScatter(ag, 0, mesh.AxisGroups(axis));
@@ -261,8 +264,9 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
                   value = b.CollectivePermute(
                       value, mesh.RingShift(axis, step));
                   if (rng() % 2 == 0) {
-                      value->mutable_attrs().channel_id =
-                          static_cast<int64_t>(rng() % 100);
+                      value->UpdateAttrs([&](InstrAttrs& a) {
+                          a.channel_id = static_cast<int64_t>(rng() % 100);
+                      });
                   }
                   break;
               }
@@ -273,16 +277,21 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
                       value, mesh.RingShift(axis, step));
                   auto* done = b.CollectivePermuteDone(start);
                   int64_t channel = static_cast<int64_t>(rng() % 100);
-                  start->mutable_attrs().channel_id = channel;
-                  done->mutable_attrs().channel_id = channel;
+                  start->UpdateAttrs([&](InstrAttrs& a) {
+                      a.channel_id = channel;
+                  });
+                  done->UpdateAttrs([&](InstrAttrs& a) {
+                      a.channel_id = channel;
+                  });
                   value = done;
                   break;
               }
               case 3: {
                   auto* ar = b.AllReduce(value, mesh.AxisGroups(axis));
                   if (rng() % 2 == 0) {
-                      ar->mutable_attrs().channel_id =
-                          static_cast<int64_t>(rng() % 100);
+                      ar->UpdateAttrs([&](InstrAttrs& a) {
+                          a.channel_id = static_cast<int64_t>(rng() % 100);
+                      });
                   }
                   value = ar;
                   break;
@@ -292,8 +301,9 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
                   // the per-peer chunks always split evenly.
                   auto* a2a = b.AllToAll(value, 1, mesh.AxisGroups(last));
                   if (rng() % 2 == 0) {
-                      a2a->mutable_attrs().channel_id =
-                          static_cast<int64_t>(rng() % 100);
+                      a2a->UpdateAttrs([&](InstrAttrs& a) {
+                          a.channel_id = static_cast<int64_t>(rng() % 100);
+                      });
                   }
                   value = a2a;
                   break;
@@ -303,8 +313,12 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
                                                 mesh.AxisGroups(last));
                   auto* done = b.AllToAllDone(start);
                   int64_t channel = static_cast<int64_t>(rng() % 100);
-                  start->mutable_attrs().channel_id = channel;
-                  done->mutable_attrs().channel_id = channel;
+                  start->UpdateAttrs([&](InstrAttrs& a) {
+                      a.channel_id = channel;
+                  });
+                  done->UpdateAttrs([&](InstrAttrs& a) {
+                      a.channel_id = channel;
+                  });
                   value = done;
                   break;
               }
@@ -314,7 +328,7 @@ TEST(ParserTest, FuzzRoundTripsCollectiveAttributes)
                   int64_t k = 1 + static_cast<int64_t>(rng() % (n - 1));
                   value = b.CollectivePermute(
                       value, mesh.RingShift(last, k));
-                  value->mutable_attrs().a2a_chunk = k;
+                  value->UpdateAttrs([&](InstrAttrs& a) { a.a2a_chunk = k; });
                   break;
               }
               case 7: {

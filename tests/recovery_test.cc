@@ -243,7 +243,9 @@ TEST(RecoveryTest, WatchdogReportsChipDeathWithBlockedInstructions)
 
     PodSimulator simulator(mesh, options.hardware,
                            FaultModel(options.fault));
-    auto outcome = simulator.RunStep(*program->module, /*step_index=*/0);
+    auto prepared = simulator.Prepare(*program->module);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto outcome = simulator.RunStep(*prepared, /*step_index=*/0);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_TRUE(outcome->failed);
     const FailureReport& failure = outcome->failure;
@@ -280,7 +282,9 @@ TEST(RecoveryTest, OnlyAChipOnTheMeshBlocksCollectives)
         PodSimulator simulator(
             mesh, options.hardware,
             FaultModel(ChipDeath(chip, /*fail_step=*/0).spec));
-        auto outcome = simulator.RunStep(*program->module, 0);
+        auto prepared = simulator.Prepare(*program->module);
+        ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+        auto outcome = simulator.RunStep(*prepared, 0);
         ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
         EXPECT_FALSE(outcome->failed) << "chip " << chip;
         EXPECT_EQ(outcome->result.step_seconds, healthy->step_seconds)
@@ -290,7 +294,9 @@ TEST(RecoveryTest, OnlyAChipOnTheMeshBlocksCollectives)
         PodSimulator simulator(
             mesh, options.hardware,
             FaultModel(ChipDeath(chip, /*fail_step=*/0).spec));
-        auto outcome = simulator.RunStep(*program->module, 0);
+        auto prepared = simulator.Prepare(*program->module);
+        ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+        auto outcome = simulator.RunStep(*prepared, 0);
         ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
         EXPECT_TRUE(outcome->failed) << "chip " << chip;
     }
@@ -430,7 +436,9 @@ TEST(RecoveryTest, RetryExhaustionEscalatesToWatchdog)
     ASSERT_TRUE(program.ok());
     PodSimulator simulator(mesh, options.hardware,
                            FaultModel(options.fault));
-    auto outcome = simulator.RunStep(*program->module, /*step_index=*/0);
+    auto prepared = simulator.Prepare(*program->module);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto outcome = simulator.RunStep(*prepared, /*step_index=*/0);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_TRUE(outcome->failed);
     EXPECT_EQ(outcome->failure.cause, FailureCause::kRetryExhaustion);

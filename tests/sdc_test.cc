@@ -273,7 +273,9 @@ TEST(EngineSdcTest, DetectionFillsOutcomeAndChargesDetectorTime)
     ASSERT_TRUE(program.ok());
     PodSimulator simulator(mesh, options.hardware,
                            FaultModel(options.fault));
-    auto outcome = simulator.RunStep(*program->module, /*step_index=*/0);
+    auto prepared = simulator.Prepare(*program->module);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto outcome = simulator.RunStep(*prepared, /*step_index=*/0);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
 
     EXPECT_FALSE(outcome->failed);  // corruption crashes nothing
@@ -307,7 +309,9 @@ TEST(EngineSdcTest, TransferCorruptionIsCaughtInFlight)
     ASSERT_TRUE(program.ok());
     PodSimulator simulator(mesh, options.hardware,
                            FaultModel(options.fault));
-    auto outcome = simulator.RunStep(*program->module, /*step_index=*/0);
+    auto prepared = simulator.Prepare(*program->module);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto outcome = simulator.RunStep(*prepared, /*step_index=*/0);
     ASSERT_TRUE(outcome.ok());
     EXPECT_TRUE(outcome->corrupted);
     EXPECT_EQ(outcome->corruption.detector,
@@ -331,7 +335,9 @@ TEST(EngineSdcTest, DetectorsOffEscapesWithUnchangedTiming)
     blind.fault = SdcUndetected(/*chip=*/1, /*step=*/0).spec;
     PodSimulator simulator(mesh, blind.hardware,
                            FaultModel(blind.fault));
-    auto outcome = simulator.RunStep(*program->module, /*step_index=*/0);
+    auto prepared = simulator.Prepare(*program->module);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto outcome = simulator.RunStep(*prepared, /*step_index=*/0);
     ASSERT_TRUE(outcome.ok());
     EXPECT_TRUE(outcome->sdc_injected);
     EXPECT_TRUE(outcome->sdc_escaped);
